@@ -68,6 +68,28 @@ void BM_Conv2dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(16)->Arg(32);
 
+// The small-spatial shape of VGG16's last convs: [B,128,2,2] in, 128 out,
+// 3x3, pad 1. Each sample's GEMM has N = 4, narrower than one 16-column
+// panel tile, so conv2d_forward_batch groups samples; B = 1 stays on the
+// per-sample path and shows what grouping buys at B = 8 and 64.
+void BM_Conv2dForwardSmallSpatial(benchmark::State& state) {
+  const auto batch = state.range(0);
+  constexpr std::int64_t kCh = 128;
+  ut::Rng rng(7);
+  const Variable x(Tensor::randn(Shape{batch, kCh, 2, 2}, rng), false);
+  const Variable w(Tensor::randn(Shape{kCh, kCh, 3, 3}, rng), false);
+  const Variable b(Tensor::randn(Shape{kCh}, rng), false);
+  const NoGradGuard no_grad;
+  for (auto _ : state) {
+    const Variable y = ag::conv2d(x, w, b, 1, 1);
+    benchmark::DoNotOptimize(y.value().data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * batch * kCh * kCh * 9 * 4);
+}
+// Real time: the eager op fans GEMM groups over the pool, so main-thread
+// CPU time would overstate the rate.
+BENCHMARK(BM_Conv2dForwardSmallSpatial)->Arg(1)->Arg(8)->Arg(64)->UseRealTime();
+
 void activation_bench(benchmark::State& state, core::Scheme scheme) {
   constexpr std::int64_t kFeat = 16 * 16 * 16;
   ut::Rng rng(3);

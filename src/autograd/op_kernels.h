@@ -23,8 +23,10 @@
 // scalar) A/Bs the whole forward path on any host.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -164,10 +166,7 @@ inline void linear_forward(std::int64_t batch, std::int64_t in,
 }
 
 /// One sample of a conv2d forward: im2col into col_scratch
-/// (col_rows()*col_cols() floats), one GEMM, bias row-add. Batch rows are
-/// independent, so callers pick the batch strategy (the eager op fans rows
-/// over the thread pool, plans run them serially in-lane) without touching
-/// the arithmetic.
+/// (col_rows()*col_cols() floats), one GEMM, bias row-add.
 inline void conv2d_forward_sample(const Conv2dGeometry& geo, std::int64_t out_c,
                                   const float* x_sample, const float* w,
                                   const float* bias_or_null, float* col_scratch,
@@ -182,6 +181,100 @@ inline void conv2d_forward_sample(const Conv2dGeometry& geo, std::int64_t out_c,
       kern::bias_add_const(out_sample + c * ohw, bias_or_null[c], ohw);
     }
   }
+}
+
+/// Grouping rule of conv2d_forward_batch. The GEMM panel kernel vectorizes
+/// along N in 16-column tiles (tensor/kernels/kernels_avx2.cpp), and a
+/// conv's N is out_h*out_w per sample. Below one tile width (a 2x2 output
+/// has N = 4) every FMA of a per-sample GEMM lands in the panel's scalar
+/// edge path, so such convs place g = min(batch, ceil(64 / ohw)) samples'
+/// im2col columns side by side and run one GEMM with N = g*ohw. Wider
+/// outputs keep one GEMM per sample: B is streamed unpacked, so a single
+/// huge-N GEMM over the whole batch is slower than per-sample calls.
+inline constexpr std::int64_t kConvGroupBelowCols = 16;
+inline constexpr std::int64_t kConvGroupTargetCols = 64;
+
+/// Samples per GEMM for a conv with `ohw` output columns at this batch.
+[[nodiscard]] inline std::int64_t conv2d_group_size(
+    std::int64_t ohw, std::int64_t batch) noexcept {
+  if (ohw >= kConvGroupBelowCols || batch <= 1) return 1;
+  return std::min(batch, (kConvGroupTargetCols + ohw - 1) / ohw);
+}
+
+/// Scratch floats conv2d_forward_batch needs for any batch up to `batch`:
+/// one im2col matrix, plus the grouped GEMM output when samples group.
+[[nodiscard]] inline std::int64_t conv2d_scratch_floats(
+    const Conv2dGeometry& geo, std::int64_t out_c,
+    std::int64_t batch) noexcept {
+  const std::int64_t ohw = geo.col_cols();
+  const std::int64_t g = conv2d_group_size(ohw, batch);
+  if (g == 1) return geo.col_rows() * ohw;
+  return g * ohw * (geo.col_rows() + out_c);
+}
+
+/// conv2d forward over `batch` samples of [B,C,H,W]. `scratch` holds
+/// conv2d_scratch_floats(geo, out_c, batch) floats. Per-sample GEMMs or
+/// grouped ones (conv2d_group_size) give bit-identical outputs: every GEMM
+/// output column is computed by the same single-rounding FMA sequence over
+/// k wherever it sits in N (the panel kernels' column-invariance contract,
+/// pinned by gemm_fuzz_test), so a sample's bits never depend on the batch
+/// it was assembled into. After each sample's output (bias included) is
+/// complete, on_sample(out_sample) runs while it is cache-hot. Callers
+/// pick the threading: the eager op fans GEMM groups over the pool, plans
+/// run the whole batch in-lane.
+template <typename OnSample>
+inline void conv2d_forward_batch(const Conv2dGeometry& geo, std::int64_t out_c,
+                                 std::int64_t batch, const float* x,
+                                 const float* w, const float* bias_or_null,
+                                 float* scratch, float* out,
+                                 const OnSample& on_sample) noexcept {
+  const std::int64_t ckk = geo.col_rows();
+  const std::int64_t ohw = geo.col_cols();
+  const std::int64_t in_stride = geo.in_channels * geo.in_h * geo.in_w;
+  const std::int64_t out_stride = out_c * ohw;
+  const std::int64_t g = conv2d_group_size(ohw, batch);
+  if (g == 1) {
+    for (std::int64_t s = 0; s < batch; ++s) {
+      float* o = out + s * out_stride;
+      conv2d_forward_sample(geo, out_c, x + s * in_stride, w, bias_or_null,
+                            scratch, o);
+      on_sample(o);
+    }
+    return;
+  }
+  float* const col = scratch;
+  float* const gemm_out = scratch + ckk * g * ohw;
+  for (std::int64_t s0 = 0; s0 < batch; s0 += g) {
+    const std::int64_t n = std::min(g, batch - s0);
+    const std::int64_t cols = n * ohw;
+    for (std::int64_t i = 0; i < n; ++i) {
+      im2col(geo, x + (s0 + i) * in_stride, col + i * ohw, cols);
+    }
+    sgemm(false, false, out_c, cols, ckk, 1.0f, w, ckk, col, cols, 0.0f,
+          gemm_out, cols);
+    // Scatter each sample's planes from the [out_c, n*ohw] GEMM output
+    // into [B,C,H,W].
+    for (std::int64_t i = 0; i < n; ++i) {
+      float* o = out + (s0 + i) * out_stride;
+      for (std::int64_t c = 0; c < out_c; ++c) {
+        std::memcpy(o + c * ohw, gemm_out + c * cols + i * ohw,
+                    static_cast<std::size_t>(ohw) * sizeof(float));
+        if (bias_or_null != nullptr) {
+          kern::bias_add_const(o + c * ohw, bias_or_null[c], ohw);
+        }
+      }
+      on_sample(o);
+    }
+  }
+}
+
+/// conv2d_forward_batch with no per-sample hook.
+inline void conv2d_forward_batch(const Conv2dGeometry& geo, std::int64_t out_c,
+                                 std::int64_t batch, const float* x,
+                                 const float* w, const float* bias_or_null,
+                                 float* scratch, float* out) noexcept {
+  conv2d_forward_batch(geo, out_c, batch, x, w, bias_or_null, scratch, out,
+                       [](float*) {});
 }
 
 // ---- fused GEMM + bound-clamp ----------------------------------------------
@@ -266,16 +359,21 @@ inline std::uint64_t linear_clamp_forward(std::int64_t batch, std::int64_t in,
   return events;
 }
 
-/// Fused conv2d forward for one sample: conv2d_forward_sample's im2col +
-/// GEMM (bias deferred) with the clamp epilogue applied per channel plane.
-inline std::uint64_t conv2d_clamp_forward_sample(
-    const Conv2dGeometry& geo, std::int64_t out_c, const float* x_sample,
-    const float* w, const float* bias_or_null, float* col_scratch,
-    float* out_sample, const ClampSpec& s) noexcept {
-  conv2d_forward_sample(geo, out_c, x_sample, w, nullptr, col_scratch,
-                        out_sample);
-  return conv_bias_clamp_epilogue(out_sample, bias_or_null, out_c,
-                                  geo.col_cols(), s);
+/// Fused conv2d forward: conv2d_forward_batch (bias deferred) with the
+/// clamp epilogue applied to each sample's planes as it completes. Returns
+/// the clamp-event tally (0 when s.count is off).
+inline std::uint64_t conv2d_clamp_forward_batch(
+    const Conv2dGeometry& geo, std::int64_t out_c, std::int64_t batch,
+    const float* x, const float* w, const float* bias_or_null, float* scratch,
+    float* out, const ClampSpec& s) noexcept {
+  std::uint64_t events = 0;
+  conv2d_forward_batch(geo, out_c, batch, x, w, nullptr, scratch, out,
+                       [&](float* out_sample) {
+                         events += conv_bias_clamp_epilogue(
+                             out_sample, bias_or_null, out_c, geo.col_cols(),
+                             s);
+                       });
+  return events;
 }
 
 // ---- normalisation / pooling ----------------------------------------------

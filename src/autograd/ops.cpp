@@ -217,12 +217,18 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& bias,
   const std::int64_t in_stride = geo.in_channels * geo.in_h * geo.in_w;
   const std::int64_t out_stride = out_c * ohw;
 
+  // GEMM groups (conv2d_group_size) are dynamically balanced over the pool,
+  // or run in order when this thread already executes pool work.
+  const std::int64_t group = conv2d_group_size(ohw, batch);
+  const std::int64_t groups = (batch + group - 1) / group;
   ut::global_pool().parallel_for_each(
-      0, static_cast<std::size_t>(batch), 1, [&](std::size_t b) {
-        std::vector<float> col(static_cast<std::size_t>(ckk * ohw));
-        conv2d_forward_sample(
-            geo, out_c, px + static_cast<std::int64_t>(b) * in_stride, pw, pb,
-            col.data(), out.data() + static_cast<std::int64_t>(b) * out_stride);
+      0, static_cast<std::size_t>(groups), 1, [&](std::size_t gi) {
+        const std::int64_t s0 = static_cast<std::int64_t>(gi) * group;
+        const std::int64_t n = std::min(group, batch - s0);
+        std::vector<float> scratch(
+            static_cast<std::size_t>(conv2d_scratch_floats(geo, out_c, n)));
+        conv2d_forward_batch(geo, out_c, n, px + s0 * in_stride, pw, pb,
+                             scratch.data(), out.data() + s0 * out_stride);
       });
 
   const ImplPtr px_impl = x.impl();

@@ -456,8 +456,9 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
   }
   plan->finalize_liveness();
 
-  // Per-sample scratch high-water mark: conv needs an im2col matrix, linear
-  // a transposed weight; ops run one at a time, so one block serves all.
+  // Scratch high-water mark: conv needs its im2col matrix (and, for
+  // small-spatial convs, the grouped GEMM output) at max_batch, linear a
+  // transposed weight; ops run one at a time, so one block serves all.
   // Int8 ops don't participate — their integer scratch is sized below, and
   // they never fall back to fp32 (execute throws instead).
   std::size_t scratch = 0;
@@ -465,9 +466,9 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
   for (const auto& op : plan->ops_) {
     if (op.kind == PlanBuilder::OpKind::conv2d ||
         op.kind == PlanBuilder::OpKind::fused_conv2d_clamp) {
-      scratch = std::max(
-          scratch, static_cast<std::size_t>(op.geo.col_rows() *
-                                            op.geo.col_cols()));
+      scratch = std::max(scratch, static_cast<std::size_t>(
+                                      ag::conv2d_scratch_floats(
+                                          op.geo, op.out_c, max_batch)));
     } else if (op.kind == PlanBuilder::OpKind::linear ||
                op.kind == PlanBuilder::OpKind::fused_linear_clamp) {
       scratch =
@@ -866,21 +867,12 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
 
   for (const auto& op : ops_) {
     switch (op.kind) {
-      case PlanBuilder::OpKind::conv2d: {
-        const std::int64_t in_stride =
-            values_[static_cast<std::size_t>(op.in0)].sample_numel;
-        const std::int64_t out_stride =
-            values_[static_cast<std::size_t>(op.out)].sample_numel;
-        const float* x = ptr(op.in0);
-        float* o = ptr(op.out);
-        const float* w = op.weight.data();
-        const float* b = op.bias.defined() ? op.bias.data() : nullptr;
-        for (std::int64_t s = 0; s < batch; ++s) {
-          ag::conv2d_forward_sample(op.geo, op.out_c, x + s * in_stride, w, b,
-                                    scratch, o + s * out_stride);
-        }
+      case PlanBuilder::OpKind::conv2d:
+        ag::conv2d_forward_batch(op.geo, op.out_c, batch, ptr(op.in0),
+                                 op.weight.data(),
+                                 op.bias.defined() ? op.bias.data() : nullptr,
+                                 scratch, ptr(op.out));
         break;
-      }
       case PlanBuilder::OpKind::linear:
         ag::linear_forward(batch, op.in_f, op.out_f, ptr(op.in0),
                            op.weight.data(),
@@ -898,8 +890,6 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
         }
         const bool is_conv =
             op.kind == PlanBuilder::OpKind::fused_conv2d_clamp;
-        const std::int64_t in_stride =
-            values_[static_cast<std::size_t>(op.in0)].sample_numel;
         const std::int64_t out_stride =
             values_[static_cast<std::size_t>(op.out)].sample_numel;
         const float* x = ptr(op.in0);
@@ -939,10 +929,8 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
           // the same steps in the same order as the unfused program, minus
           // the separate intermediate slots, so outputs stay bit-identical.
           if (is_conv) {
-            for (std::int64_t s = 0; s < batch; ++s) {
-              ag::conv2d_forward_sample(op.geo, op.out_c, x + s * in_stride,
-                                        w, b, scratch, o + s * out_stride);
-            }
+            ag::conv2d_forward_batch(op.geo, op.out_c, batch, x, w, b, scratch,
+                                     o);
           } else {
             ag::linear_forward(batch, op.in_f, op.out_f, x, w, b, scratch, o);
           }
@@ -965,11 +953,8 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
                                               batch * out_stride, count);
           }
         } else if (is_conv) {
-          for (std::int64_t s = 0; s < batch; ++s) {
-            events += ag::conv2d_clamp_forward_sample(
-                op.geo, op.out_c, x + s * in_stride, w, b, scratch,
-                o + s * out_stride, spec);
-          }
+          events = ag::conv2d_clamp_forward_batch(op.geo, op.out_c, batch, x,
+                                                  w, b, scratch, o, spec);
         } else {
           events = ag::linear_clamp_forward(batch, op.in_f, op.out_f, x, w, b,
                                             scratch, o, spec);

@@ -28,6 +28,10 @@
 //     uses FMA), so backends agree only to the per-element forward-error
 //     bound gemm_fuzz_test enforces — never rely on cross-backend
 //     bit-equality of GEMM results.
+//   * Within one backend, gemm_panel is column-invariant: a column of C
+//     gets the same bits whatever its position in N and whatever N is, so
+//     conv2d_forward_batch may group samples' GEMM columns (gemm_fuzz_test
+//     pins this on both backends).
 //   * No kernel skips work based on operand values: a NaN or Inf anywhere
 //     in the inputs reaches the output exactly as IEEE arithmetic dictates.
 //     (Hardware faults produce exactly these values; swallowing them blinds

@@ -10,9 +10,19 @@
 // in 16-column register tiles, which changes rounding relative to scalar —
 // cross-backend GEMM agreement is to forward-error bounds only
 // (gemm_fuzz_test's per-element tolerance).
+//
+// Column invariance: every element of C, in the vector tiles, the 8-wide
+// edge loop and the scalar tail alike, is updated by one single-rounding FMA
+// per k step in the same k order. A column's bits therefore never depend on
+// where it sits in N, so a GEMM over several samples' columns side by side
+// (autograd/op_kernels.h, conv2d_forward_batch) reproduces the per-sample
+// GEMMs exactly. The tail spells the FMA out rather than relying on the
+// compiler's -ffp-contract default (gemm_fuzz_test pins the contract).
 #include "tensor/kernels/kernel_table.h"
 
 #if defined(FITACT_HAVE_AVX2_KERNELS)
+
+#include <cmath>
 
 #include <immintrin.h>
 
@@ -61,8 +71,8 @@ inline void tile4x16(std::int64_t kb, float alpha, const float* ap,
   _mm256_storeu_ps(c + 3 * ldc + 8, acc31);
 }
 
-/// Single-row edge tile: 8-wide vector loop with a scalar tail. Handles the
-/// bottom rows (mb % 4) and, with nb < 16, the right edge columns.
+/// Single-row edge tile: 8-wide vector loop with a scalar FMA tail. Handles
+/// the bottom rows (mb % 4) and, with nb < 16, the right edge columns.
 inline void tile1xN(std::int64_t nb, std::int64_t kb, float alpha,
                     const float* arow, const float* b, std::int64_t ldb,
                     float* c) noexcept {
@@ -76,7 +86,7 @@ inline void tile1xN(std::int64_t nb, std::int64_t kb, float alpha,
           c + j, _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + j),
                                  _mm256_loadu_ps(c + j)));
     }
-    for (; j < nb; ++j) c[j] += aval * brow[j];
+    for (; j < nb; ++j) c[j] = std::fma(aval, brow[j], c[j]);
   }
 }
 

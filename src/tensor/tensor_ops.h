@@ -64,8 +64,11 @@ struct Conv2dGeometry {
 };
 
 /// Expand one image [C,H,W] into the column matrix [C*kH*kW, Hout*Wout].
-/// `image` points at C*H*W floats; `col` at col_rows()*col_cols() floats.
-void im2col(const Conv2dGeometry& g, const float* image, float* col);
+/// `image` points at C*H*W floats; `col` at col_rows() rows of `ld_col`
+/// floats (0 means col_cols(), a dense matrix). A wider row stride lets
+/// several samples' columns sit side by side in one GEMM operand.
+void im2col(const Conv2dGeometry& g, const float* image, float* col,
+            std::int64_t ld_col = 0);
 
 /// Scatter-accumulate a column matrix back into an image gradient buffer
 /// (which must be zero-initialised by the caller).

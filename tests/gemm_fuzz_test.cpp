@@ -12,7 +12,9 @@
 
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -250,6 +252,61 @@ TEST(GemmFuzz, NonFiniteOperandsPropagateThroughPanelKernel) {
           << "backend " << kern::backend_name(backend) << " row " << i;
       EXPECT_TRUE(std::isnan(c_fast[static_cast<std::size_t>(i * n + 13)]))
           << "backend " << kern::backend_name(backend) << " row " << i;
+    }
+  }
+}
+
+std::uint32_t float_bits(float v) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+// Column-position invariance (kernels.h contract): within one backend, a
+// column of C must come out bit-for-bit the same whether it is computed in
+// a wide GEMM (landing in a 16-wide vector tile, the 8-wide edge loop or
+// the scalar tail) or alone in an N = 1 GEMM. conv2d_forward_batch groups
+// samples' columns into one GEMM on the strength of this. M covers
+// M % 4 != 0 (the single-row edge rows), K crosses the 256-deep K blocks.
+TEST(GemmFuzz, ColumnBitsIndependentOfPositionInN) {
+  ASSERT_TRUE(g_threads_pinned);
+  for (const kern::Backend backend :
+       {kern::Backend::scalar,
+        kern::avx2_supported() ? kern::Backend::avx2 : kern::Backend::scalar}) {
+    const kern::BackendGuard guard(backend);
+    ut::Rng rng(20261017);
+    for (int t = 0; t < 40; ++t) {
+      const std::int64_t m = t < 4 ? 4 * t + 1 : rng.next_int(1, 70);
+      const std::int64_t k =
+          t % 3 == 0 ? rng.next_int(257, 600) : rng.next_int(1, 300);
+      const std::int64_t n = rng.next_int(1, 40);
+      const float alpha = t % 2 == 0 ? 1.0f
+                                     : static_cast<float>(
+                                           rng.next_double() * 4.0 - 2.0);
+      std::vector<float> a(static_cast<std::size_t>(m * k));
+      std::vector<float> b(static_cast<std::size_t>(k * n));
+      for (auto& x : a) x = rng.normal();
+      for (auto& x : b) x = rng.normal();
+      std::vector<float> c(static_cast<std::size_t>(m * n));
+      sgemm(false, false, m, n, k, alpha, a.data(), k, b.data(), n, 0.0f,
+            c.data(), n);
+      std::vector<float> bcol(static_cast<std::size_t>(k));
+      std::vector<float> ccol(static_cast<std::size_t>(m));
+      for (std::int64_t j = 0; j < n; ++j) {
+        for (std::int64_t p = 0; p < k; ++p) {
+          bcol[static_cast<std::size_t>(p)] =
+              b[static_cast<std::size_t>(p * n + j)];
+        }
+        sgemm(false, false, m, 1, k, alpha, a.data(), k, bcol.data(), 1, 0.0f,
+              ccol.data(), 1);
+        for (std::int64_t i = 0; i < m; ++i) {
+          ASSERT_EQ(float_bits(c[static_cast<std::size_t>(i * n + j)]),
+                    float_bits(ccol[static_cast<std::size_t>(i)]))
+              << "backend " << kern::backend_name(backend) << " m=" << m
+              << " n=" << n << " k=" << k << " element (" << i << ", " << j
+              << ")";
+        }
+      }
     }
   }
 }

@@ -217,6 +217,70 @@ INSTANTIATE_TEST_SUITE_P(Zoo, PlanFusion,
                          ::testing::Values("tinycnn", "alexnet", "vgg16",
                                            "resnet50"));
 
+// Batch-assembly invariance through grouped conv GEMMs: vgg16 is the zoo
+// model whose last convs have a 2x2 output, where conv2d_forward_batch
+// runs one GEMM over several samples' columns. Each sample of an eager
+// batch of 37 (two full groups of 16 and a partial one) and of plan
+// batches 3 and 8 (fused and unfused) must match that sample run alone at
+// batch 1, bit-for-bit, on both kernel backends. fitrelu covers the
+// producer-then-activation plan branch, clip_act the clamp epilogue.
+TEST(PlanBatchAssembly, GroupedConvSamplesMatchBatchOneBitForBit) {
+  constexpr std::int64_t kEager = 37;
+  for (const core::Scheme scheme :
+       {core::Scheme::fitrelu, core::Scheme::clip_act}) {
+    const auto model = zoo_model("vgg16", scheme, 61);
+    const auto fused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 8,
+                                                  /*fuse=*/true);
+    const auto unfused = nn::InferencePlan::compile(model, Shape{3, 32, 32},
+                                                    8, /*fuse=*/false);
+    ut::Rng rng(62);
+    const Tensor x = Tensor::randn(Shape{kEager, 3, 32, 32}, rng);
+    const std::int64_t in_numel = x.numel() / kEager;
+    const NoGradGuard no_grad;
+    for (const kern::Backend backend :
+         {kern::Backend::scalar, kern::avx2_supported()
+                                     ? kern::Backend::avx2
+                                     : kern::Backend::scalar}) {
+      const kern::BackendGuard guard(backend);
+      const std::string ctx = core::to_string(scheme) + " backend " +
+                              kern::backend_name(backend);
+      std::vector<Tensor> alone;
+      for (std::int64_t i = 0; i < kEager; ++i) {
+        Tensor xi(Shape{1, 3, 32, 32});
+        std::memcpy(xi.data(), x.data() + i * in_numel,
+                    sizeof(float) * static_cast<std::size_t>(in_numel));
+        alone.push_back(model->forward(Variable(xi, false)).value());
+      }
+      const std::int64_t out_numel = alone[0].numel();
+      const auto expect_sample = [&](const float* got, std::int64_t i,
+                                     const std::string& where) {
+        for (std::int64_t j = 0; j < out_numel; ++j) {
+          ASSERT_EQ(got[j], alone[static_cast<std::size_t>(i)][j])
+              << ctx << " " << where << " sample " << i << " element " << j;
+        }
+      };
+      const Tensor eager = model->forward(Variable(x, false)).value();
+      for (std::int64_t i = 0; i < kEager; ++i) {
+        expect_sample(eager.data() + i * out_numel, i, "eager batch 37");
+      }
+      for (auto* plan : {fused.get(), unfused.get()}) {
+        const std::string which = plan == fused.get() ? "fused" : "unfused";
+        std::int64_t first = 0;
+        for (const std::int64_t b : {3, 8}) {
+          std::memcpy(plan->input_view(b).data(), x.data() + first * in_numel,
+                      sizeof(float) * static_cast<std::size_t>(b * in_numel));
+          const Tensor& got = plan->execute(b);
+          for (std::int64_t i = 0; i < b; ++i) {
+            expect_sample(got.data() + i * out_numel, first + i,
+                          which + " plan batch " + std::to_string(b));
+          }
+          first += b;
+        }
+      }
+    }
+  }
+}
+
 // Fused clamp-event counting must tally exactly what the standalone
 // activation op would have: same per-site events, same inspected totals.
 // Inputs are drawn wider than the profiling pass so some pre-activations
@@ -540,21 +604,25 @@ TEST(PlanServe, PlannedLanesMatchEagerLanesBitForBit) {
 // Acceptance contract: steady-state execute performs zero heap
 // allocations. Two warm-up executes pay the one-time lazy costs (the GEMM
 // pack buffer is thread_local), then eight measured executes must leave
-// the global allocation counter untouched.
+// the global allocation counter untouched. vgg16 adds the grouped GEMMs of
+// its 2x2-output convs, which run out of the compile-time scratch block.
 TEST(PlanAllocations, SteadyStateExecuteDoesNotTouchTheHeap) {
-  const auto model = zoo_model("tinycnn", core::Scheme::clip_act, 11);
-  const auto plan = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 4);
-  ut::Rng rng(5);
-  const Tensor x = Tensor::randn(Shape{4, 3, 32, 32}, rng);
-  std::memcpy(plan->input_view(4).data(), x.data(),
-              sizeof(float) * static_cast<std::size_t>(x.numel()));
-  (void)plan->execute(4);
-  (void)plan->execute(4);
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  for (int i = 0; i < 8; ++i) (void)plan->execute(4);
-  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u)
-      << "steady-state execute allocated " << (after - before) << " times";
+  for (const char* name : {"tinycnn", "vgg16"}) {
+    const auto model = zoo_model(name, core::Scheme::clip_act, 11);
+    const auto plan = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 4);
+    ut::Rng rng(5);
+    const Tensor x = Tensor::randn(Shape{4, 3, 32, 32}, rng);
+    std::memcpy(plan->input_view(4).data(), x.data(),
+                sizeof(float) * static_cast<std::size_t>(x.numel()));
+    (void)plan->execute(4);
+    (void)plan->execute(4);
+    const std::uint64_t before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    for (int i = 0; i < 8; ++i) (void)plan->execute(4);
+    const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u) << name << ": steady-state execute allocated "
+                                  << (after - before) << " times";
+  }
 }
 #endif  // FITACT_COUNT_ALLOCS
 
