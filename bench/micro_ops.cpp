@@ -3,6 +3,8 @@
 // Table I's runtime overhead), the fixed-point codec, and fault injection.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 
@@ -207,6 +209,46 @@ void BM_ModelForwardFused(benchmark::State& state) {
   planned_forward_bench(state, /*fuse=*/true);
 }
 BENCHMARK(BM_ModelForwardFused)->Arg(1)->Arg(8);
+
+// The int8 serving plan: ResNet50 w0.25 under per-neuron Clip-Act bounds,
+// compiled with Precision::int8, where every conv (block heads, residual
+// tails, projection shortcuts) runs int8 and only the pool and classifier
+// stay fp32. Arg = batch size; items are samples.
+void BM_PlanExecuteInt8(benchmark::State& state) {
+  const auto batch = state.range(0);
+  models::ModelConfig cfg;
+  cfg.num_classes = 10;
+  cfg.width_mult = 0.25f;
+  cfg.seed = 7;
+  auto model = models::make_model("resnet50", cfg);
+  model->set_training(false);
+  const auto sites = core::collect_activations(*model);
+  for (const auto& site : sites) site->set_profiling(true);
+  ut::Rng rng(8);
+  {
+    const NoGradGuard no_grad;
+    (void)model->forward(
+        Variable(Tensor::randn(Shape{8, 3, 32, 32}, rng), false));
+  }
+  for (const auto& site : sites) site->set_profiling(false);
+  core::apply_protection(*model, core::Scheme::clip_act,
+                         core::ProtectionOptions{});
+  const Tensor x = Tensor::randn(Shape{batch, 3, 32, 32}, rng);
+  float range = 0.0f;
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    range = std::max(range, std::abs(x[i]));
+  }
+  const auto plan = nn::InferencePlan::compile(
+      model, Shape{3, 32, 32}, 8, /*fuse=*/true, nn::Precision::int8, range);
+  std::memcpy(plan->input_view(batch).data(), x.data(),
+              sizeof(float) * static_cast<std::size_t>(x.numel()));
+  for (auto _ : state) {
+    const Tensor& y = plan->execute(batch);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_PlanExecuteInt8)->Arg(1)->Arg(8);
 
 void BM_FixedPointEncode(benchmark::State& state) {
   ut::Rng rng(4);

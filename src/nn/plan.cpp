@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -68,16 +69,36 @@ float site_output_range(const core::BoundedActivation* site) {
   return maxb > 0.0f ? maxb : -1.0f;
 }
 
-/// CHW int8 -> HWC int8 (channel-fastest), the layout im2row_i8 gathers
-/// from. The transpose costs one pass over the sample but turns every patch
-/// row of the gather into contiguous byte copies — the gather is the int8
-/// conv's second-largest cost after the GEMM, the transpose is noise.
-void chw_to_hwc_i8(const std::int8_t* chw, std::int8_t* hwc, std::int64_t c_n,
-                   std::int64_t hw) {
-  for (std::int64_t c = 0; c < c_n; ++c) {
-    const std::int8_t* src = chw + c * hw;
-    for (std::int64_t i = 0; i < hw; ++i) hwc[i * c_n + c] = src[i];
+/// Planned lanes serve clean inference only: a site switched into
+/// profiling or input-corruptor mode after compile must fail loudly, not be
+/// silently bypassed.
+void require_serving_site(const core::BoundedActivation& site,
+                          const std::string& label) {
+  if (site.profiling() || site.has_input_corruptor()) {
+    throw std::logic_error("InferencePlan: activation site '" + label +
+                           "' entered profiling/corruptor mode after "
+                           "compile; planned lanes serve clean inference "
+                           "only");
   }
+}
+
+/// The site's bound tensor, checked against the feature extent it clamps.
+const Tensor& checked_bounds(const core::BoundedActivation& site,
+                             const ag::FeatureBroadcast& fb) {
+  if (!site.has_bounds()) {
+    throw std::logic_error("BoundedActivation(" +
+                           core::to_string(site.scheme()) +
+                           "): bounds not initialised");
+  }
+  const Tensor& bt = site.bounds().value();
+  fb.validate_bound(bt.numel());
+  return bt;
+}
+
+/// 1x1, stride-1, unpadded: the conv's patch matrix is its HWC input image.
+bool is_pointwise(const Conv2dGeometry& g) {
+  return g.kernel_h == 1 && g.kernel_w == 1 && g.stride == 1 &&
+         g.padding == 0;
 }
 
 /// im2row for quantized conv input: the [out_h*out_w, C*kh*kw] patch matrix
@@ -86,13 +107,14 @@ void chw_to_hwc_i8(const std::int8_t* chw, std::int8_t* hwc, std::int64_t c_n,
 /// full, so a dirty shared scratch buffer is fine.
 ///
 /// The k-axis is ordered [kh][kw][c] — channel fastest — and the input is
-/// the HWC image chw_to_hwc_i8 produces. quantize_ops packs the weights
-/// with the same permutation, and an integer dot product is invariant under
-/// any shared k-permutation, so GEMM results (and cross-backend
-/// bit-identity) are untouched. What the order buys: for each (oh, ow, kh)
-/// the patch bytes [kw0..kw1) x [0..C) are one contiguous source run of the
-/// image and one contiguous destination run of the row — a single memcpy of
-/// (kw1-kw0)*C bytes replaces a per-element bounds-checked gather.
+/// the HWC image kern::quantize_hwc_i8 produces. quantize_ops packs the
+/// weights with the same permutation, and an integer dot product is
+/// invariant under any shared k-permutation, so GEMM results (and
+/// cross-backend bit-identity) are untouched. What the order buys: for each
+/// (oh, ow, kh) the patch bytes [kw0..kw1) x [0..C) are one contiguous
+/// source run of the image and one contiguous destination run of the row —
+/// a single memcpy of (kw1-kw0)*C bytes replaces a per-element
+/// bounds-checked gather.
 void im2row_i8(const Conv2dGeometry& g, const std::int8_t* hwc,
                std::int8_t* rows, std::int64_t row_stride) {
   // One upfront memset covers both the halo zeros and the row_stride
@@ -422,7 +444,7 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
   if (precision == Precision::int8 && !fuse) {
     throw std::invalid_argument(
         "InferencePlan: precision=int8 requires fuse=true (the quantization "
-        "pass converts fused clamp ops)");
+        "pass converts fused ops)");
   }
   if (model->subtree_pending_init()) {
     throw std::invalid_argument(
@@ -449,7 +471,7 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
     plan->quantize_ops(input_range);
     if (plan->int8_ops_ == 0) {
       throw PlanError(
-          "InferencePlan: precision=int8 but no fused clamp op qualified for "
+          "InferencePlan: precision=int8 but no fused op qualified for "
           "quantization (needs bounded clampable activations and a positive "
           "input_range)");
     }
@@ -459,29 +481,33 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
   // Scratch high-water mark: conv needs its im2col matrix (and, for
   // small-spatial convs, the grouped GEMM output) at max_batch, linear a
   // transposed weight; ops run one at a time, so one block serves all.
-  // Int8 ops don't participate — their integer scratch is sized below, and
+  // Int8 ops don't participate — their byte scratch is sized below, and
   // they never fall back to fp32 (execute throws instead).
+  using K = PlanBuilder::OpKind;
   std::size_t scratch = 0;
   std::size_t scratch_i8 = 0;
   for (const auto& op : plan->ops_) {
-    if (op.kind == PlanBuilder::OpKind::conv2d ||
-        op.kind == PlanBuilder::OpKind::fused_conv2d_clamp) {
+    if (op.kind == K::conv2d || op.kind == K::fused_conv2d) {
       scratch = std::max(scratch, static_cast<std::size_t>(
                                       ag::conv2d_scratch_floats(
                                           op.geo, op.out_c, max_batch)));
-    } else if (op.kind == PlanBuilder::OpKind::linear ||
-               op.kind == PlanBuilder::OpKind::fused_linear_clamp) {
+    } else if (op.kind == K::linear || op.kind == K::fused_linear) {
       scratch =
           std::max(scratch, static_cast<std::size_t>(op.in_f * op.out_f));
-    } else if (op.kind == PlanBuilder::OpKind::fused_conv2d_int8_clamp) {
-      // Quantized input sample + im2row patch matrix.
-      const auto in_numel = static_cast<std::size_t>(
-          plan->values_[static_cast<std::size_t>(op.in0)].sample_numel);
+    } else if (op.kind == K::fused_conv2d_int8) {
+      // One sample's HWC image; a pointwise conv's (rows padded to the
+      // block width) is its patch matrix, other convs add the im2row one.
+      const auto in_hw = static_cast<std::size_t>(op.geo.in_h * op.geo.in_w);
+      const auto patch_bytes =
+          static_cast<std::size_t>(op.geo.col_cols() * op.q8->cols_padded);
       scratch_i8 = std::max(
           scratch_i8,
-          2 * align_up_bytes(in_numel) +
-              static_cast<std::size_t>(op.geo.col_cols() * op.q8->cols_padded));
-    } else if (op.kind == PlanBuilder::OpKind::fused_linear_int8_clamp) {
+          is_pointwise(op.geo)
+              ? patch_bytes
+              : align_up_bytes(in_hw *
+                               static_cast<std::size_t>(op.geo.in_channels)) +
+                    patch_bytes);
+    } else if (op.kind == K::fused_linear_int8) {
       // Quantized batch rows, padded to the block width.
       scratch_i8 = std::max(
           scratch_i8, static_cast<std::size_t>(max_batch * op.q8->cols_padded));
@@ -498,81 +524,143 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
 }
 
 void InferencePlan::fuse_ops() {
-  // Peephole over the recorded (pre-liveness) program: merge each conv2d /
-  // linear with an immediately following bounded activation that reads its
-  // output directly and is its sole consumer. The producer's output value
-  // goes dead — the fused op writes straight into the activation's slot —
-  // which is the arena saving fusion exists for. The liveness check uses
-  // the record-time op indices (this runs before finalize_liveness
-  // renumbers anything), so a residual edge or a later re-read of the
-  // pre-activation value blocks fusion exactly as it must.
+  // Peephole over the recorded (pre-liveness) program: fold each conv2d /
+  // linear with the ops that read nothing but its output chain into one
+  // fused op. The folded intermediates go dead — the fused op writes
+  // straight into the last folded op's slot — which is the arena saving
+  // fusion exists for. The liveness checks use the record-time op indices
+  // (this runs before finalize_liveness renumbers anything), so a residual
+  // edge or a later re-read of an intermediate blocks fusion exactly as it
+  // must.
+  //
+  // Every fold is structural, not algebraic: execute replays the exact
+  // eager kernel sequence (conv+bias, BN, add, clamp) on the fused op's
+  // output, so bit-identity and live BN-parameter fault visibility both
+  // survive (pre-scaling weights by gamma/sigma would bake BN faults out of
+  // the served model).
+  using K = PlanBuilder::OpKind;
+  const PlanValueId out_root = root(output_);
+  // `v` is read by op `reader` alone and is not the plan output.
+  const auto only_read_by = [&](PlanValueId v, std::size_t reader) {
+    return values_[static_cast<std::size_t>(v)].last_use ==
+               static_cast<std::int32_t>(reader) &&
+           out_root != v;
+  };
+  const auto is_op = [&](std::size_t j, K kind, PlanValueId reads) {
+    return j < ops_.size() && ops_[j].kind == kind && ops_[j].in0 == reads;
+  };
+  const auto absorb = [&](Op& f, const Op& next) {
+    values_[static_cast<std::size_t>(f.out)].dead = true;
+    f.out = next.out;
+    if (!next.label.empty()) f.label += " + " + next.label;
+  };
+  const auto absorb_bn = [&](Op& f, const Op& bn) {
+    f.gamma = bn.gamma;
+    f.beta = bn.beta;
+    f.running_mean = bn.running_mean;
+    f.running_var = bn.running_var;
+    f.eps = bn.eps;
+    absorb(f, bn);
+  };
+  const auto absorb_clamp = [&](Op& f, const Op& act) {
+    f.site = act.site;
+    f.fb = act.fb;
+    absorb(f, act);
+  };
+
+  // A residual tail's fused op is emitted at its add's position, after the
+  // shortcut's producers.
+  std::vector<std::pair<std::size_t, Op>> deferred;
+  // The add of a residual tail (conv -> BN -> add(., shortcut) -> clamp)
+  // reading BN output `bn_out`, or ops_.size() when there is none. The add
+  // may sit past the shortcut's producers (a projection conv -> BN), but no
+  // op before it may read the BN output, and an add folds into one tail
+  // only: when both operands are BN outputs (a projection shortcut), the
+  // first conv claims it and the other stays a plain conv -> BN.
+  const auto tail_add = [&](std::size_t bn_at, PlanValueId bn_out) {
+    const auto none = ops_.size();
+    const auto at = static_cast<std::size_t>(
+        std::max(values_[static_cast<std::size_t>(bn_out)].last_use, 0));
+    if (at <= bn_at || at >= ops_.size() || bn_out == out_root) return none;
+    for (const auto& d : deferred) {
+      if (d.first == at) return none;
+    }
+    const Op& add = ops_[at];
+    if (add.kind != K::add || add.in0 == add.in1 ||
+        (add.in0 != bn_out && add.in1 != bn_out) ||
+        !is_op(at + 1, K::activation, add.out) ||
+        !only_read_by(add.out, at + 1)) {
+      return none;
+    }
+    for (std::size_t j = bn_at + 1; j < at; ++j) {
+      const Op& mid = ops_[j];
+      if (root(mid.in0) == bn_out ||
+          (mid.in1 >= 0 && root(mid.in1) == bn_out)) {
+        return none;
+      }
+    }
+    return at;
+  };
+
   std::vector<Op> fused;
   fused.reserve(ops_.size());
   for (std::size_t i = 0; i < ops_.size(); ++i) {
+    const auto due = std::find_if(deferred.begin(), deferred.end(),
+                                  [&](const auto& d) { return d.first == i; });
+    if (due != deferred.end()) {
+      fused.push_back(std::move(due->second));
+      deferred.erase(due);
+      ++i;  // the add's activation is folded too
+      continue;
+    }
     Op& op = ops_[i];
-    const bool fusable_producer = op.kind == PlanBuilder::OpKind::conv2d ||
-                                  op.kind == PlanBuilder::OpKind::linear;
-    // conv -> eval-BatchNorm -> activation triple (the ResNet block shape):
-    // fold structurally into one fused conv op carrying the BN tensors.
-    // Execute replays the exact eager kernel sequence (conv+bias, BN in
-    // place, clamp pass), so bit-identity and live BN-parameter fault
-    // visibility both survive — which is why the fold is structural rather
-    // than algebraic (pre-scaling weights by gamma/sigma would bake BN
-    // faults out of the served model). Both intermediates go dead.
-    if (op.kind == PlanBuilder::OpKind::conv2d && i + 2 < ops_.size()) {
-      const Op& bn = ops_[i + 1];
-      const Op& act = ops_[i + 2];
-      const Value& mid1 = values_[static_cast<std::size_t>(op.out)];
-      const Value& mid2 = values_[static_cast<std::size_t>(bn.out)];
-      if (bn.kind == PlanBuilder::OpKind::batch_norm2d && bn.in0 == op.out &&
-          act.kind == PlanBuilder::OpKind::activation && act.in0 == bn.out &&
-          mid1.last_use == static_cast<std::int32_t>(i) + 1 &&
-          mid2.last_use == static_cast<std::int32_t>(i) + 2 &&
-          root(output_) != op.out && root(output_) != bn.out) {
-        Op f = std::move(op);
-        f.kind = PlanBuilder::OpKind::fused_conv2d_clamp;
-        f.gamma = bn.gamma;
-        f.beta = bn.beta;
-        f.running_mean = bn.running_mean;
-        f.running_var = bn.running_var;
-        f.eps = bn.eps;
-        f.site = act.site;
-        f.fb = act.fb;
-        if (!bn.label.empty()) f.label += " + " + bn.label;
-        if (!act.label.empty()) f.label += " + " + act.label;
-        values_[static_cast<std::size_t>(f.out)].dead = true;
-        values_[static_cast<std::size_t>(bn.out)].dead = true;
-        f.out = act.out;
-        fused.push_back(std::move(f));
-        ++fused_ops_;
-        ++bn_folded_;
-        i += 2;  // the bn and activation ops are consumed by the fused op
-        continue;
-      }
+    const bool conv_bn = op.kind == K::conv2d &&
+                         is_op(i + 1, K::batch_norm2d, op.out) &&
+                         only_read_by(op.out, i + 1);
+    const bool clamp_pair =
+        (op.kind == K::conv2d || op.kind == K::linear) &&
+        is_op(i + 1, K::activation, op.out) && only_read_by(op.out, i + 1);
+    if (!conv_bn && !clamp_pair) {
+      fused.push_back(std::move(op));
+      continue;
     }
-    if (fusable_producer && i + 1 < ops_.size()) {
-      const Op& next = ops_[i + 1];
-      const Value& mid = values_[static_cast<std::size_t>(op.out)];
-      if (next.kind == PlanBuilder::OpKind::activation &&
-          next.in0 == op.out &&
-          mid.last_use == static_cast<std::int32_t>(i) + 1 &&
-          root(output_) != op.out) {
-        Op f = std::move(op);
-        f.kind = f.kind == PlanBuilder::OpKind::conv2d
-                     ? PlanBuilder::OpKind::fused_conv2d_clamp
-                     : PlanBuilder::OpKind::fused_linear_clamp;
-        f.site = next.site;
-        f.fb = next.fb;
-        if (!next.label.empty()) f.label += " + " + next.label;
-        values_[static_cast<std::size_t>(f.out)].dead = true;
-        f.out = next.out;
-        fused.push_back(std::move(f));
-        ++fused_ops_;
-        ++i;  // the activation op is consumed by the fused op
-        continue;
-      }
+    Op f = std::move(op);
+    f.kind = f.kind == K::conv2d ? K::fused_conv2d : K::fused_linear;
+    ++fused_ops_;
+    if (clamp_pair) {  // conv/linear -> clamp
+      absorb_clamp(f, ops_[i + 1]);
+      fused.push_back(std::move(f));
+      ++i;
+      continue;
     }
-    fused.push_back(std::move(op));
+    const Op& bn = ops_[i + 1];
+    absorb_bn(f, bn);
+    if (is_op(i + 2, K::activation, bn.out) && only_read_by(bn.out, i + 2)) {
+      // conv -> BN -> clamp: the ResNet block head.
+      absorb_clamp(f, ops_[i + 2]);
+      ++bn_folded_;
+      fused.push_back(std::move(f));
+      i += 2;
+      continue;
+    }
+    if (const std::size_t at = tail_add(i + 1, bn.out); at < ops_.size()) {
+      // conv -> BN -> add(., shortcut) -> clamp: the residual tail.
+      const Op& add = ops_[at];
+      f.in1 = add.in0 == bn.out ? add.in1 : add.in0;
+      absorb(f, add);
+      absorb_clamp(f, ops_[at + 1]);
+      ++bn_folded_;
+      ++residual_folded_;
+      deferred.emplace_back(at, std::move(f));
+      ++i;  // the BN is folded here; the add and activation at `at`
+      continue;
+    }
+    // conv -> BN with no clamp: a projection shortcut.
+    fused.push_back(std::move(f));
+    ++i;
+  }
+  if (!deferred.empty()) {
+    throw std::logic_error("InferencePlan: fusion lost a residual tail op");
   }
   ops_ = std::move(fused);
 }
@@ -583,11 +671,14 @@ void InferencePlan::quantize_ops(float input_range) {
   // comes from calibration (compile's input_range); a clampable bounded
   // activation emits [0, max(bound)] by construction — FitAct's bounds are
   // what make static activation scales possible at all. Anything a GEMM or
-  // BatchNorm produces is unbounded until the next clamp. A fused clamp op
-  // with known input AND output range converts to int8: weights quantize
-  // per output channel now, the input range fixes the activation scale, and
-  // the op's own bounds keep feeding the clamp-event detector through the
-  // fused dequantize epilogue.
+  // BatchNorm produces is unbounded until the next clamp. A fused op whose
+  // input range is known converts to int8: weights quantize per output
+  // channel now, and the input range fixes the activation scale. Its clamp,
+  // if it has one, must be the clip cascade the int8 epilogue implements;
+  // the bounds then keep feeding the clamp-event detector through the
+  // epilogue. An op without a clamp (a projection's conv -> BN) converts
+  // too, and its output range stays unknown.
+  using K = PlanBuilder::OpKind;
   std::vector<float> range(values_.size(), -1.0f);
   range[static_cast<std::size_t>(root(0))] =
       input_range > 0.0f ? input_range : -1.0f;
@@ -612,37 +703,37 @@ void InferencePlan::quantize_ops(float input_range) {
   };
   for (auto& op : ops_) {
     switch (op.kind) {
-      case PlanBuilder::OpKind::conv2d:
-      case PlanBuilder::OpKind::linear:
-      case PlanBuilder::OpKind::batch_norm2d:
+      case K::conv2d:
+      case K::linear:
+      case K::batch_norm2d:
         set(op.out, -1.0f);
         set_nonneg(op.out, false);
         break;
-      case PlanBuilder::OpKind::max_pool2d:
-      case PlanBuilder::OpKind::global_avg_pool:
+      case K::max_pool2d:
+      case K::global_avg_pool:
         // Max and mean of bounded values stay within the bound (and keep
         // their sign).
         set(op.out, rng(op.in0));
         set_nonneg(op.out, is_nonneg(op.in0));
         break;
-      case PlanBuilder::OpKind::add: {
+      case K::add: {
         const float a = rng(op.in0);
         const float b = rng(op.in1);
         set(op.out, a > 0.0f && b > 0.0f ? a + b : -1.0f);
         set_nonneg(op.out, is_nonneg(op.in0) && is_nonneg(op.in1));
         break;
       }
-      case PlanBuilder::OpKind::activation:
+      case K::activation:
         set(op.out, site_output_range(op.site));
         set_nonneg(op.out, true);  // clip cascade output is always in [0, b]
         break;
-      case PlanBuilder::OpKind::fused_conv2d_clamp:
-      case PlanBuilder::OpKind::fused_linear_clamp: {
-        const float out_r = site_output_range(op.site);
+      case K::fused_conv2d:
+      case K::fused_linear: {
+        const bool clamped = op.site != nullptr;
+        const float out_r = clamped ? site_output_range(op.site) : -1.0f;
         const float in_r = rng(op.in0);
-        if (in_r > 0.0f && out_r > 0.0f) {
-          const bool is_conv =
-              op.kind == PlanBuilder::OpKind::fused_conv2d_clamp;
+        if (in_r > 0.0f && (!clamped || out_r > 0.0f)) {
+          const bool is_conv = op.kind == K::fused_conv2d;
           const std::int64_t rows = is_conv ? op.out_c : op.out_f;
           const std::int64_t cols = is_conv ? op.geo.col_rows() : op.in_f;
           const float* wsrc = op.weight.data();
@@ -674,17 +765,18 @@ void InferencePlan::quantize_ops(float input_range) {
               quant::quantize_weights_i8(wsrc, rows, cols));
           op.q8->set_act_scale(in_r / 127.0f);
           op.q8_in_nonneg = is_nonneg(op.in0);
-          op.kind = is_conv ? PlanBuilder::OpKind::fused_conv2d_int8_clamp
-                            : PlanBuilder::OpKind::fused_linear_int8_clamp;
+          op.kind = is_conv ? K::fused_conv2d_int8 : K::fused_linear_int8;
           ++int8_ops_;
         }
+        // A clamp's output is in [0, b] (same cascade as activation).
         set(op.out, out_r);
-        set_nonneg(op.out, true);  // fused clamp: same cascade as activation
+        set_nonneg(op.out, clamped);
         break;
       }
-      case PlanBuilder::OpKind::noop:
-      case PlanBuilder::OpKind::fused_conv2d_int8_clamp:
-      case PlanBuilder::OpKind::fused_linear_int8_clamp:
+      case K::noop:
+      case K::fused_conv2d_int8:
+      case K::fused_linear_int8:
+      case K::num_kinds:
         break;  // noop moves nothing; int8 kinds don't exist before this pass
     }
   }
@@ -854,6 +946,7 @@ Tensor& InferencePlan::input_view(std::int64_t batch) {
 }
 
 Tensor& InferencePlan::execute(std::int64_t batch) {
+  using K = PlanBuilder::OpKind;
   const Bucket& bk = bucket_for(batch);
   // Lane threads run kernels inline: plan execution is already one lane of
   // a thread-per-lane server, and inline kernels are also what keeps the
@@ -864,244 +957,37 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
   const auto ptr = [&](PlanValueId v) {
     return base + bk.offsets[static_cast<std::size_t>(v)];
   };
+  const auto numel = [&](PlanValueId v) {
+    return values_[static_cast<std::size_t>(v)].sample_numel;
+  };
 
   for (const auto& op : ops_) {
     switch (op.kind) {
-      case PlanBuilder::OpKind::conv2d:
+      case K::conv2d:
         ag::conv2d_forward_batch(op.geo, op.out_c, batch, ptr(op.in0),
                                  op.weight.data(),
                                  op.bias.defined() ? op.bias.data() : nullptr,
                                  scratch, ptr(op.out));
         break;
-      case PlanBuilder::OpKind::linear:
+      case K::linear:
         ag::linear_forward(batch, op.in_f, op.out_f, ptr(op.in0),
                            op.weight.data(),
                            op.bias.defined() ? op.bias.data() : nullptr,
                            scratch, ptr(op.out));
         break;
-      case PlanBuilder::OpKind::fused_conv2d_clamp:
-      case PlanBuilder::OpKind::fused_linear_clamp: {
-        core::BoundedActivation* site = op.site;
-        if (site->profiling() || site->has_input_corruptor()) {
-          throw std::logic_error(
-              "InferencePlan: activation site '" + op.label +
-              "' entered profiling/corruptor mode after compile; planned "
-              "lanes serve clean inference only");
-        }
-        const bool is_conv =
-            op.kind == PlanBuilder::OpKind::fused_conv2d_clamp;
-        const std::int64_t out_stride =
-            values_[static_cast<std::size_t>(op.out)].sample_numel;
-        const float* x = ptr(op.in0);
-        float* o = ptr(op.out);
-        const float* w = op.weight.data();
-        const float* b = op.bias.defined() ? op.bias.data() : nullptr;
-        // Scheme and bounds are re-read from the site on every execute, so
-        // re-protection after compile behaves exactly as on the unfused
-        // path. A plain ReLU is bound = +inf under the clamp cascade (every
-        // finite positive passes, NaN maps to 0), with counting off — the
-        // unfused relu never counts either.
-        const core::Scheme scheme = site->scheme();
-        static constexpr float kInf = std::numeric_limits<float>::infinity();
-        ag::ClampSpec spec{&kInf, 1, ag::ClipMode::zero_above, false};
-        bool count = false;
-        if (scheme != core::Scheme::relu) {
-          if (!site->has_bounds()) {
-            throw std::logic_error("BoundedActivation(" +
-                                   core::to_string(scheme) +
-                                   "): bounds not initialised");
-          }
-          const Tensor& bt = site->bounds().value();
-          op.fb.validate_bound(bt.numel());
-          count = site->clamp_counting();
-          spec = {bt.data(), bt.numel(),
-                  scheme == core::Scheme::ranger ? ag::ClipMode::saturate
-                                                 : ag::ClipMode::zero_above,
-                  count};
-        }
-        std::uint64_t events = 0;
-        const bool has_bn = op.gamma.defined();
-        if (scheme == core::Scheme::fitrelu || has_bn) {
-          // No single-epilogue form: FitReLU's sigmoid shaping has no
-          // clip-kernel expression, and a folded BatchNorm sits between the
-          // GEMM and the clamp. Run the producer (bias included) into the
-          // fused output slot, then BN in place, then the activation pass —
-          // the same steps in the same order as the unfused program, minus
-          // the separate intermediate slots, so outputs stay bit-identical.
-          if (is_conv) {
-            ag::conv2d_forward_batch(op.geo, op.out_c, batch, x, w, b, scratch,
-                                     o);
-          } else {
-            ag::linear_forward(batch, op.in_f, op.out_f, x, w, b, scratch, o);
-          }
-          if (has_bn) {
-            ag::batch_norm2d_eval_forward(
-                batch, op.out_c, out_stride / op.out_c, o, op.gamma.data(),
-                op.beta.data(), op.running_mean.data(), op.running_var.data(),
-                op.eps, o);
-          }
-          if (scheme == core::Scheme::fitrelu) {
-            const Tensor& bt = site->bounds().value();
-            events = ag::fitrelu_forward(o, bt.data(), bt.numel(), op.fb,
-                                         site->steepness(), o,
-                                         batch * out_stride, count);
-          } else {
-            // Covers plain ReLU too: spec is then bound=+inf / zero_above /
-            // no counting, bit-identical to relu_forward.
-            events = ag::clipped_relu_forward(o, spec.bound, spec.bound_numel,
-                                              op.fb, spec.mode, o,
-                                              batch * out_stride, count);
-          }
-        } else if (is_conv) {
-          events = ag::conv2d_clamp_forward_batch(op.geo, op.out_c, batch, x,
-                                                  w, b, scratch, o, spec);
-        } else {
-          events = ag::linear_clamp_forward(batch, op.in_f, op.out_f, x, w, b,
-                                            scratch, o, spec);
-        }
-        if (count) {
-          site->add_clamp_counts(
-              events, static_cast<std::uint64_t>(batch * out_stride));
-        }
+      case K::fused_conv2d:
+      case K::fused_linear:
+        run_fused(op, batch, ptr(op.in0),
+                  op.in1 >= 0 ? ptr(op.in1) : nullptr, scratch, ptr(op.out));
         break;
-      }
-      case PlanBuilder::OpKind::fused_conv2d_int8_clamp:
-      case PlanBuilder::OpKind::fused_linear_int8_clamp: {
-        core::BoundedActivation* site = op.site;
-        if (site->profiling() || site->has_input_corruptor()) {
-          throw std::logic_error(
-              "InferencePlan: activation site '" + op.label +
-              "' entered profiling/corruptor mode after compile; planned "
-              "lanes serve clean inference only");
-        }
-        // The op was quantized under this site's bounds (they fixed the
-        // activation scale); swapping scheme or bounds afterwards would
-        // silently serve stale scales, so demand a recompile instead.
-        const core::Scheme scheme = site->scheme();
-        if (!clampable_scheme(scheme) || !site->has_bounds()) {
-          throw std::logic_error(
-              "InferencePlan: int8 op '" + op.label +
-              "' lost the bounded clamp scheme it was quantized under; "
-              "recompile the plan after re-protection");
-        }
-        const bool is_conv =
-            op.kind == PlanBuilder::OpKind::fused_conv2d_int8_clamp;
-        const std::int64_t in_stride =
-            values_[static_cast<std::size_t>(op.in0)].sample_numel;
-        const std::int64_t out_stride =
-            values_[static_cast<std::size_t>(op.out)].sample_numel;
-        const float* x = ptr(op.in0);
-        float* o = ptr(op.out);
-        const quant::Int8Weights& q8 = *op.q8;
-        const Tensor& bt = site->bounds().value();
-        op.fb.validate_bound(bt.numel());
-        const bool saturate = scheme == core::Scheme::ranger;
-        const bool count = site->clamp_counting();
-        const float* b = op.bias.defined() ? op.bias.data() : nullptr;
-        std::uint64_t events = 0;
-        std::int8_t* const qbuf = scratch_i8_.get();
-        if (is_conv) {
-          // Per sample: quantize the input, gather the padded im2row patch
-          // matrix, int8 GEMM straight into the output slot (int32
-          // accumulators reinterpret the float storage), then the
-          // per-channel dequantize+bias+clamp epilogue in place. A folded
-          // BatchNorm defers the clamp: plain dequantize per plane, BN over
-          // the batch, then the same clamp pass as the fp32 path.
-          const std::int64_t hw = op.geo.out_h() * op.geo.out_w();
-          const std::int64_t ckk_pad = q8.cols_padded;
-          std::int8_t* const qin = qbuf;
-          std::int8_t* const qhwc =
-              qbuf + align_up_bytes(static_cast<std::size_t>(in_stride));
-          std::int8_t* const qcol =
-              qbuf + 2 * align_up_bytes(static_cast<std::size_t>(in_stride));
-          const bool has_bn = op.gamma.defined();
-          for (std::int64_t s = 0; s < batch; ++s) {
-            kern::quantize_i8(x + s * in_stride, q8.inv_act_scale, qin,
-                              in_stride);
-            chw_to_hwc_i8(qin, qhwc, op.geo.in_channels,
-                          op.geo.in_h * op.geo.in_w);
-            im2row_i8(op.geo, qhwc, qcol, ckk_pad);
-            auto* acc = reinterpret_cast<std::int32_t*>(o + s * out_stride);
-            if (op.q8_in_nonneg) {
-              // Proven-nonneg input: patch bytes are in [0,127], so the
-              // u8xs8 kernel applies (patches are the B operand here).
-              kern::gemm_i8u8_dot(op.out_c, hw, ckk_pad, q8.q.data(), ckk_pad,
-                                  qcol, ckk_pad, acc, hw,
-                                  /*a_unsigned=*/false);
-            } else {
-              kern::gemm_i8_dot(op.out_c, hw, ckk_pad, q8.q.data(), ckk_pad,
-                                qcol, ckk_pad, acc, hw);
-            }
-            for (std::int64_t c = 0; c < op.out_c; ++c) {
-              const float scale = q8.combined[static_cast<std::size_t>(c)];
-              const float bc = b != nullptr ? b[c] : 0.0f;
-              std::int32_t* plane = acc + c * hw;
-              if (has_bn) {
-                kern::dequant_i32(plane, scale, bc, hw);
-              } else if (bt.numel() == 1) {
-                events += kern::fused_dequant_clip_cc(
-                    plane, scale, bc, bt.data()[0], saturate, hw, count);
-              } else if (bt.numel() == op.out_c) {
-                events += kern::fused_dequant_clip_cc(
-                    plane, scale, bc, bt.data()[c], saturate, hw, count);
-              } else {
-                events += kern::fused_dequant_clip_cr(plane, scale, bc,
-                                                      bt.data() + c * hw,
-                                                      saturate, hw, count);
-              }
-            }
-          }
-          if (has_bn) {
-            ag::batch_norm2d_eval_forward(
-                batch, op.out_c, hw, o, op.gamma.data(), op.beta.data(),
-                op.running_mean.data(), op.running_var.data(), op.eps, o);
-            events = ag::clipped_relu_forward(
-                o, bt.data(), bt.numel(), op.fb,
-                saturate ? ag::ClipMode::saturate : ag::ClipMode::zero_above,
-                o, batch * out_stride, count);
-          }
-        } else {
-          // Quantize the batch rows (zero-padding each row's block tail),
-          // one GEMM for the whole batch, then the per-row epilogue with
-          // per-channel combined scales.
-          const std::int64_t in_f_pad = q8.cols_padded;
-          for (std::int64_t s = 0; s < batch; ++s) {
-            kern::quantize_i8(x + s * in_stride, q8.inv_act_scale,
-                              qbuf + s * in_f_pad, in_stride);
-            std::memset(qbuf + s * in_f_pad + in_stride, 0,
-                        static_cast<std::size_t>(in_f_pad - in_stride));
-          }
-          auto* acc = reinterpret_cast<std::int32_t*>(o);
-          if (op.q8_in_nonneg) {
-            // Proven-nonneg input: the quantized batch rows (the A operand
-            // here) are in [0,127], so the u8xs8 kernel applies.
-            kern::gemm_i8u8_dot(batch, op.out_f, in_f_pad, qbuf, in_f_pad,
-                                q8.q.data(), in_f_pad, acc, op.out_f,
-                                /*a_unsigned=*/true);
-          } else {
-            kern::gemm_i8_dot(batch, op.out_f, in_f_pad, qbuf, in_f_pad,
-                              q8.q.data(), in_f_pad, acc, op.out_f);
-          }
-          for (std::int64_t s = 0; s < batch; ++s) {
-            std::int32_t* row = acc + s * op.out_f;
-            if (bt.numel() == 1) {
-              events += kern::fused_dequant_clip_rc(row, q8.combined.data(),
-                                                    b, bt.data()[0], saturate,
-                                                    op.out_f, count);
-            } else {
-              events += kern::fused_dequant_clip_rr(row, q8.combined.data(),
-                                                    b, bt.data(), saturate,
-                                                    op.out_f, count);
-            }
-          }
-        }
-        if (count) {
-          site->add_clamp_counts(
-              events, static_cast<std::uint64_t>(batch * out_stride));
-        }
+      case K::fused_conv2d_int8:
+        run_int8_conv(op, batch, ptr(op.in0),
+                      op.in1 >= 0 ? ptr(op.in1) : nullptr, ptr(op.out));
         break;
-      }
-      case PlanBuilder::OpKind::batch_norm2d: {
+      case K::fused_linear_int8:
+        run_int8_linear(op, batch, ptr(op.in0), ptr(op.out));
+        break;
+      case K::batch_norm2d: {
         const Shape& xs = values_[static_cast<std::size_t>(op.in0)].sample_shape;
         ag::batch_norm2d_eval_forward(batch, xs[0], xs[1] * xs[2], ptr(op.in0),
                                       op.gamma.data(), op.beta.data(),
@@ -1110,41 +996,29 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
                                       ptr(op.out));
         break;
       }
-      case PlanBuilder::OpKind::max_pool2d: {
+      case K::max_pool2d: {
         const Shape& xs = values_[static_cast<std::size_t>(op.in0)].sample_shape;
         ag::max_pool2d_forward(batch, xs[0], xs[1], xs[2], op.kernel,
                                op.stride, ptr(op.in0), ptr(op.out), nullptr);
         break;
       }
-      case PlanBuilder::OpKind::global_avg_pool: {
+      case K::global_avg_pool: {
         const Shape& xs = values_[static_cast<std::size_t>(op.in0)].sample_shape;
         ag::global_avg_pool_forward(batch, xs[0], xs[1] * xs[2], ptr(op.in0),
                                     ptr(op.out));
         break;
       }
-      case PlanBuilder::OpKind::activation: {
+      case K::activation: {
         core::BoundedActivation* site = op.site;
-        if (site->profiling() || site->has_input_corruptor()) {
-          throw std::logic_error(
-              "InferencePlan: activation site '" + op.label +
-              "' entered profiling/corruptor mode after compile; planned "
-              "lanes serve clean inference only");
-        }
-        const std::int64_t n =
-            batch * values_[static_cast<std::size_t>(op.in0)].sample_numel;
+        require_serving_site(*site, op.label);
+        const std::int64_t n = batch * numel(op.in0);
         const float* x = ptr(op.in0);
         float* o = ptr(op.out);
         if (site->scheme() == core::Scheme::relu) {
           ag::relu_forward(x, o, n);
           break;
         }
-        if (!site->has_bounds()) {
-          throw std::logic_error("BoundedActivation(" +
-                                 core::to_string(site->scheme()) +
-                                 "): bounds not initialised");
-        }
-        const Tensor& bt = site->bounds().value();
-        op.fb.validate_bound(bt.numel());
+        const Tensor& bt = checked_bounds(*site, op.fb);
         const bool count = site->clamp_counting();
         std::uint64_t events = 0;
         switch (site->scheme()) {
@@ -1171,17 +1045,229 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
         }
         break;
       }
-      case PlanBuilder::OpKind::add:
+      case K::add:
         ag::add_forward(ptr(op.in0), ptr(op.in1), ptr(op.out),
-                        batch *
-                            values_[static_cast<std::size_t>(op.out)]
-                                .sample_numel);
+                        batch * numel(op.out));
         break;
-      case PlanBuilder::OpKind::noop:
+      case K::noop:
+      case K::num_kinds:
         break;
     }
   }
   return output_views_[static_cast<std::size_t>(batch - 1)];
+}
+
+void InferencePlan::run_fused(const Op& op, std::int64_t batch,
+                              const float* x, const float* shortcut,
+                              float* scratch, float* o) {
+  core::BoundedActivation* site = op.site;
+  const ag::ClampSpec spec = fused_clamp_spec(op);
+  const bool is_conv = op.kind == PlanBuilder::OpKind::fused_conv2d;
+  const std::int64_t out_stride =
+      values_[static_cast<std::size_t>(op.out)].sample_numel;
+  const float* w = op.weight.data();
+  const float* b = op.bias.defined() ? op.bias.data() : nullptr;
+  const bool fitrelu =
+      site != nullptr && site->scheme() == core::Scheme::fitrelu;
+  const bool has_bn = op.gamma.defined();
+  // The activation step over n elements of whole samples. Covers plain
+  // ReLU too: its spec is bound=+inf / zero_above / no counting,
+  // bit-identical to relu_forward.
+  const auto activate = [&](float* p, std::int64_t n) {
+    if (fitrelu) {
+      return ag::fitrelu_forward(p, spec.bound, spec.bound_numel, op.fb,
+                                 site->steepness(), p, n, spec.count);
+    }
+    return ag::clipped_relu_forward(p, spec.bound, spec.bound_numel, op.fb,
+                                    spec.mode, p, n, spec.count);
+  };
+  std::uint64_t events = 0;
+  if (site != nullptr && !fitrelu && !has_bn && shortcut == nullptr) {
+    // Bias + clamp is one epilogue kernel on the GEMM output.
+    events = is_conv ? ag::conv2d_clamp_forward_batch(op.geo, op.out_c, batch,
+                                                      x, w, b, scratch, o,
+                                                      spec)
+                     : ag::linear_clamp_forward(batch, op.in_f, op.out_f, x,
+                                                w, b, scratch, o, spec);
+  } else if (is_conv) {
+    // Replay the unfused sequence on each sample while its planes are
+    // cache-hot: conv (bias included) into the fused output slot, then BN
+    // in place, the residual add, the activation — the same steps in the
+    // same order as the unfused program, minus the separate intermediate
+    // slots, so outputs stay bit-identical.
+    const std::int64_t hw = op.geo.col_cols();
+    ag::conv2d_forward_batch(
+        op.geo, op.out_c, batch, x, w, b, scratch, o, [&](float* os) {
+          if (has_bn) {
+            ag::batch_norm2d_eval_forward(
+                1, op.out_c, hw, os, op.gamma.data(), op.beta.data(),
+                op.running_mean.data(), op.running_var.data(), op.eps, os);
+          }
+          if (shortcut != nullptr) {
+            ag::add_forward(os, shortcut + (os - o), os, out_stride);
+          }
+          if (site != nullptr) events += activate(os, out_stride);
+        });
+  } else {
+    // FitReLU's sigmoid shaping has no clip-kernel expression: the linear
+    // (bias included), then the activation pass.
+    ag::linear_forward(batch, op.in_f, op.out_f, x, w, b, scratch, o);
+    events = activate(o, batch * out_stride);
+  }
+  if (spec.count) {
+    site->add_clamp_counts(events,
+                           static_cast<std::uint64_t>(batch * out_stride));
+  }
+}
+
+ag::ClampSpec InferencePlan::fused_clamp_spec(const Op& op) {
+  // Scheme and bounds are re-read from the site on every execute, so
+  // re-protection after compile behaves exactly as on the unfused path. No
+  // site (a projection's conv -> BN) and a plain ReLU both come back as
+  // bound = +inf under the clamp cascade (every finite positive passes, NaN
+  // maps to 0), with counting off — the unfused relu never counts either.
+  static constexpr float kInf = std::numeric_limits<float>::infinity();
+  const ag::ClampSpec none{&kInf, 1, ag::ClipMode::zero_above, false};
+  if (op.site == nullptr) return none;
+  const core::BoundedActivation& site = *op.site;
+  require_serving_site(site, op.label);
+  // An int8 op was quantized under its site's bounds (they fixed the
+  // activation scale); swapping scheme or bounds afterwards would silently
+  // serve stale scales, so demand a recompile instead.
+  if (op.q8 && (!clampable_scheme(site.scheme()) || !site.has_bounds())) {
+    throw std::logic_error(
+        "InferencePlan: int8 op '" + op.label +
+        "' lost the bounded clamp scheme it was quantized under; "
+        "recompile the plan after re-protection");
+  }
+  if (site.scheme() == core::Scheme::relu) return none;
+  const Tensor& bt = checked_bounds(site, op.fb);
+  return {bt.data(), bt.numel(),
+          site.scheme() == core::Scheme::ranger ? ag::ClipMode::saturate
+                                                : ag::ClipMode::zero_above,
+          site.clamp_counting()};
+}
+
+void InferencePlan::run_int8_conv(const Op& op, std::int64_t batch,
+                                  const float* x, const float* shortcut,
+                                  float* o) {
+  core::BoundedActivation* site = op.site;
+  const ag::ClampSpec spec = fused_clamp_spec(op);
+  const Conv2dGeometry& g = op.geo;
+  const quant::Int8Weights& q8 = *op.q8;
+  const std::int64_t hw = g.col_cols();
+  const std::int64_t in_hw = g.in_h * g.in_w;
+  const std::int64_t in_stride = g.in_channels * in_hw;
+  const std::int64_t out_stride = op.out_c * hw;
+  const std::int64_t ckk_pad = q8.cols_padded;
+  const bool per_neuron = spec.bound_numel == out_stride;
+  const float* b = op.bias.defined() ? op.bias.data() : nullptr;
+  const bool has_bn = op.gamma.defined();
+  // A pointwise conv's HWC image, rows padded to ckk_pad, is already its
+  // im2row patch matrix; other convs gather patches from the HWC image.
+  const bool pointwise = is_pointwise(g);
+  std::int8_t* const qhwc = scratch_i8_.get();
+  std::int8_t* const patches =
+      pointwise ? qhwc
+                : qhwc + align_up_bytes(static_cast<std::size_t>(in_stride));
+  std::uint64_t events = 0;
+  for (std::int64_t s = 0; s < batch; ++s) {
+    // Quantize the sample straight into HWC bytes, gather patches, then
+    // int8 GEMM into the output slot (int32 accumulators reinterpret the
+    // float storage).
+    kern::quantize_hwc_i8(x + s * in_stride, q8.inv_act_scale, qhwc,
+                          g.in_channels, in_hw,
+                          pointwise ? ckk_pad : g.in_channels);
+    if (!pointwise) im2row_i8(g, qhwc, patches, ckk_pad);
+    auto* acc = reinterpret_cast<std::int32_t*>(o + s * out_stride);
+    if (op.q8_in_nonneg) {
+      // Proven-nonneg input: patch bytes are in [0,127], so the u8xs8
+      // kernel applies (patches are the B operand here).
+      kern::gemm_i8u8_dot(op.out_c, hw, ckk_pad, q8.q.data(), ckk_pad,
+                          patches, ckk_pad, acc, hw, /*a_unsigned=*/false);
+    } else {
+      kern::gemm_i8_dot(op.out_c, hw, ckk_pad, q8.q.data(), ckk_pad, patches,
+                        ckk_pad, acc, hw);
+    }
+    // Finish each output plane in one pass, in eager order: dequantize +
+    // bias, BN, residual add, clamp.
+    for (std::int64_t c = 0; c < op.out_c; ++c) {
+      kern::DequantPlane e;
+      e.scale = q8.combined[static_cast<std::size_t>(c)];
+      e.bias = b != nullptr ? b[c] : 0.0f;
+      float bn[4] = {};
+      if (has_bn) {
+        bn[0] = op.running_mean.data()[c];
+        bn[1] = 1.0f / std::sqrt(op.running_var.data()[c] + op.eps);
+        bn[2] = op.gamma.data()[c];
+        bn[3] = op.beta.data()[c];
+        e.bn = bn;
+      }
+      if (shortcut != nullptr) {
+        e.shortcut = shortcut + s * out_stride + c * hw;
+      }
+      if (site != nullptr) {
+        e.bound = spec.bound + (per_neuron ? c * hw
+                                           : (spec.bound_numel == 1 ? 0 : c));
+        e.bound_per_element = per_neuron;
+        e.saturate = spec.mode == ag::ClipMode::saturate;
+        e.count = spec.count;
+      }
+      events += kern::dequant_plane(acc + c * hw, hw, e);
+    }
+  }
+  if (spec.count) {
+    site->add_clamp_counts(events,
+                           static_cast<std::uint64_t>(batch * out_stride));
+  }
+}
+
+void InferencePlan::run_int8_linear(const Op& op, std::int64_t batch,
+                                    const float* x, float* o) {
+  core::BoundedActivation* site = op.site;
+  const ag::ClampSpec spec = fused_clamp_spec(op);
+  const bool saturate = spec.mode == ag::ClipMode::saturate;
+  const quant::Int8Weights& q8 = *op.q8;
+  const float* b = op.bias.defined() ? op.bias.data() : nullptr;
+  std::int8_t* const qbuf = scratch_i8_.get();
+  // Quantize the batch rows (zero-padding each row's block tail), one GEMM
+  // for the whole batch, then the per-row epilogue with per-channel
+  // combined scales.
+  const std::int64_t in_f_pad = q8.cols_padded;
+  for (std::int64_t s = 0; s < batch; ++s) {
+    kern::quantize_i8(x + s * op.in_f, q8.inv_act_scale, qbuf + s * in_f_pad,
+                      op.in_f);
+    std::memset(qbuf + s * in_f_pad + op.in_f, 0,
+                static_cast<std::size_t>(in_f_pad - op.in_f));
+  }
+  auto* acc = reinterpret_cast<std::int32_t*>(o);
+  if (op.q8_in_nonneg) {
+    // Proven-nonneg input: the quantized batch rows (the A operand here)
+    // are in [0,127], so the u8xs8 kernel applies.
+    kern::gemm_i8u8_dot(batch, op.out_f, in_f_pad, qbuf, in_f_pad,
+                        q8.q.data(), in_f_pad, acc, op.out_f,
+                        /*a_unsigned=*/true);
+  } else {
+    kern::gemm_i8_dot(batch, op.out_f, in_f_pad, qbuf, in_f_pad, q8.q.data(),
+                      in_f_pad, acc, op.out_f);
+  }
+  std::uint64_t events = 0;
+  for (std::int64_t s = 0; s < batch; ++s) {
+    std::int32_t* row = acc + s * op.out_f;
+    if (spec.bound_numel == 1) {
+      events += kern::fused_dequant_clip_rc(row, q8.combined.data(), b,
+                                            spec.bound[0], saturate, op.out_f,
+                                            spec.count);
+    } else {
+      events += kern::fused_dequant_clip_rr(row, q8.combined.data(), b,
+                                            spec.bound, saturate, op.out_f,
+                                            spec.count);
+    }
+  }
+  if (spec.count) {
+    site->add_clamp_counts(events,
+                           static_cast<std::uint64_t>(batch * op.out_f));
+  }
 }
 
 void InferencePlan::restore_int8_weights() {
@@ -1204,14 +1290,18 @@ std::pair<std::int8_t*, std::size_t> InferencePlan::int8_weight_span(
 }
 
 std::string InferencePlan::summary() const {
-  static const char* const kKindNames[] = {
-      "conv2d",      "linear", "batch_norm2d", "max_pool2d",
-      "global_avg_pool", "activation", "add",  "noop",
-      "fused_conv2d_clamp", "fused_linear_clamp",
-      "fused_conv2d_int8_clamp", "fused_linear_int8_clamp"};
+  static constexpr const char* kKindNames[] = {
+      "conv2d",       "linear",           "batch_norm2d",
+      "max_pool2d",   "global_avg_pool",  "activation",
+      "add",          "noop",             "fused_conv2d",
+      "fused_linear", "fused_conv2d_int8", "fused_linear_int8"};
+  static_assert(std::size(kKindNames) ==
+                    static_cast<std::size_t>(PlanBuilder::OpKind::num_kinds),
+                "one summary() name per OpKind");
   std::ostringstream os;
   os << "InferencePlan: " << ops_.size() << " ops (" << fused_ops_
-     << " fused, " << bn_folded_ << " bn-folded, " << int8_ops_
+     << " fused, " << bn_folded_ << " bn-folded, " << residual_folded_
+     << " residual-folded, " << int8_ops_
      << " int8), " << values_.size() << " values, max_batch " << max_batch_
      << ", arena " << arena_bytes() / 1024 << " KiB (" << buckets_.size()
      << " buckets)\n";

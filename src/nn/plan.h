@@ -12,15 +12,18 @@
 //             image scrubs through quant::ParamImage remain visible to the
 //             plan because they write through that same storage.
 //   fuse      A peephole pass (on by default; serve::ServerOptions::fuse)
-//             merges conv2d/linear ops with the bounded activation that is
-//             their sole consumer into single fused ops whose epilogue
-//             applies bias + bound-clamp (+ clamp-event counting) directly
-//             on the GEMM output — the pre-activation tensor never occupies
-//             an arena slot. The epilogue runs the exact per-element float
-//             sequence of the unfused bias-add + clamp, so fusion preserves
-//             the plan-vs-eager bit-identity contract; the activation site
-//             is still read at execute time, so re-protection after compile
-//             stays visible exactly as on the unfused path.
+//             folds each conv2d/linear with the ops that consume only its
+//             output into one fused op whose epilogue runs on the GEMM
+//             output: conv/linear -> clamp, conv -> BatchNorm -> clamp,
+//             conv -> BatchNorm with no clamp (a projection shortcut), and
+//             a residual block's tail conv -> BatchNorm -> add(., shortcut)
+//             -> clamp. The folded intermediates never occupy an arena
+//             slot. The epilogue runs the exact per-element float sequence
+//             of the unfused ops (bias, BatchNorm, add, clamp), so fusion
+//             preserves the plan-vs-eager bit-identity contract; the
+//             activation site is still read at execute time, so
+//             re-protection after compile stays visible exactly as on the
+//             unfused path.
 //   plan      A liveness pass assigns every intermediate value an offset in
 //             one pre-sized activation arena (first-fit over live ranges,
 //             which degenerates to ping-pong for chain models), with a
@@ -66,13 +69,19 @@ namespace fitact::nn {
 
 /// Arithmetic the plan's fused conv/linear ops execute with.
 ///
-/// int8 converts every fused clamp op whose input range is statically known
-/// (see compile()'s input_range and the bound-derived range propagation in
-/// plan.cpp) to block-quantized int8 GEMM with a fused
-/// dequantize+bias+clamp epilogue. Ops that don't qualify (unbounded
-/// schemes, unknown ranges, FitReLU's sigmoid shaping) stay fp32, so a plan
-/// is int8 *where the bounds allow* — compile throws PlanError when nothing
-/// qualifies rather than silently serving fp32 under an int8 label.
+/// int8 converts every fused conv/linear op whose input range is statically
+/// known (see compile()'s input_range and the bound-derived range
+/// propagation in plan.cpp) to block-quantized int8 GEMM. One per-plane
+/// epilogue finishes each int8 conv while the plane is cache-hot:
+/// dequantize + bias, then the op's optional BatchNorm, residual add and
+/// bound clamp (with clamp-event counting). An op needs no clamp of its
+/// own to qualify: a projection shortcut (conv -> BN) reads a clamp output,
+/// so it converts, and only its output range is left unknown — the
+/// residual tail that adds it needs just its own input's range. Ops that
+/// don't qualify (unknown input ranges, unbounded schemes, FitReLU's
+/// sigmoid shaping) stay fp32, so a plan is int8 *where the bounds allow* —
+/// compile throws PlanError when nothing qualifies rather than silently
+/// serving fp32 under an int8 label.
 ///
 /// Fault model of an int8 op: its live quantized bytes (Int8Weights::q) are
 /// the deployed weight storage — fp32 weight faults injected through
@@ -152,16 +161,19 @@ class PlanBuilder {
     activation,
     add,
     noop,
-    // Fusion-pass products: a conv2d/linear whose bias + bound-clamp run as
-    // an epilogue on the GEMM output (never recorded directly). A fused
-    // conv may additionally carry a folded eval-mode BatchNorm (gamma
-    // defined): conv -> bn -> clamp replayed as one op.
-    fused_conv2d_clamp,
-    fused_linear_clamp,
-    // Quantization-pass products (Precision::int8): int8 GEMM over
-    // block-quantized weights with a dequantize+bias+clamp epilogue.
-    fused_conv2d_int8_clamp,
-    fused_linear_int8_clamp,
+    // Fusion-pass products (never recorded directly): a conv2d/linear whose
+    // epilogue runs on the GEMM output. The op's fields say which steps it
+    // runs, in eager order: bias (bias defined), a folded eval-mode
+    // BatchNorm (gamma defined), a residual add of value in1 (in1 >= 0),
+    // then a bound clamp (site non-null). InferencePlan::fuse_ops lists the
+    // shapes that produce them.
+    fused_conv2d,
+    fused_linear,
+    // Quantization-pass products (Precision::int8): the same epilogue after
+    // an int8 GEMM over block-quantized weights and a dequantize.
+    fused_conv2d_int8,
+    fused_linear_int8,
+    num_kinds,  ///< not a kind: the number of kinds (summary() name table)
   };
 
   struct Value {
@@ -176,7 +188,7 @@ class PlanBuilder {
   struct Op {
     OpKind kind;
     PlanValueId in0 = -1;
-    PlanValueId in1 = -1;
+    PlanValueId in1 = -1;  ///< add's 2nd operand; a fused op's shortcut
     PlanValueId out = -1;
     std::string label;  ///< module path at record time (diagnostics)
 
@@ -193,7 +205,8 @@ class PlanBuilder {
     std::int64_t in_f = 0, out_f = 0;
     // max_pool2d
     std::int64_t kernel = 0, stride = 0;
-    // activation
+    // activation; for fused ops the clamp site, or null when the fused op
+    // has no clamp (a projection shortcut's conv -> BatchNorm)
     core::BoundedActivation* site = nullptr;
     ag::FeatureBroadcast fb{};
     // int8 ops: block-quantized weights + scales (quantization pass product)
@@ -231,9 +244,9 @@ class InferencePlan {
   /// arguments. The plan keeps `model` alive (ops point into its parameter
   /// storage).
   ///
-  /// Precision::int8 additionally runs the quantization pass: fused clamp
-  /// ops whose input activation range is statically known convert to int8
-  /// GEMM ops (see Precision). `input_range` is the max-abs of the plan
+  /// Precision::int8 additionally runs the quantization pass: fused ops
+  /// whose input activation range is statically known convert to int8 GEMM
+  /// ops (see Precision). `input_range` is the max-abs of the plan
   /// *input* (callers calibrate it over sample data; <= 0 means unknown, so
   /// the first layer stays fp32); ranges of deeper layers come from the
   /// clamp bounds themselves. Requires fuse=true; throws PlanError when no
@@ -260,16 +273,24 @@ class InferencePlan {
   [[nodiscard]] std::int64_t max_batch() const noexcept { return max_batch_; }
   [[nodiscard]] const Shape& sample_shape() const;
   [[nodiscard]] std::size_t op_count() const noexcept { return ops_.size(); }
-  /// Number of conv/linear+clamp pairs the fusion pass merged (0 when
-  /// compiled with fuse=false or when no pair qualified). BN-folded triples
-  /// count once here too.
+  /// Number of fused ops the fusion pass produced (0 when compiled with
+  /// fuse=false or when nothing qualified). Each absorbed at least one
+  /// successor op — a clamp, or a projection's BatchNorm — and the two
+  /// counters below name the folds that absorbed more, so
+  ///   op_count() + fused + bn_folded + residual_folded
+  /// equals the unfused plan's op count.
   [[nodiscard]] std::size_t fused_op_count() const noexcept {
     return fused_ops_;
   }
-  /// Number of conv -> batch_norm -> activation triples the fusion pass
-  /// folded (each removes *two* ops from the program, unlike a pair's one).
+  /// Number of fused ops that absorbed a BatchNorm on top of their clamp
+  /// (conv -> batch_norm -> activation triples and residual tails).
   [[nodiscard]] std::size_t bn_folded_op_count() const noexcept {
     return bn_folded_;
+  }
+  /// Number of residual tails (conv -> batch_norm -> add -> activation)
+  /// folded into one op: each also absorbed the add.
+  [[nodiscard]] std::size_t residual_folded_op_count() const noexcept {
+    return residual_folded_;
   }
   /// Number of fused ops the quantization pass converted to int8.
   [[nodiscard]] std::size_t int8_op_count() const noexcept {
@@ -281,8 +302,9 @@ class InferencePlan {
   /// no-op on fp32 plans). The serving recovery path calls both.
   void restore_int8_weights();
   /// Live quantized weight bytes of int8 op `index` (0-based, program
-  /// order) — the int8 fault space, exposed so tests and benches can inject
-  /// corruption. Throws std::out_of_range past int8_op_count().
+  /// order; a residual tail runs at its add's position, after the block's
+  /// projection) — the int8 fault space, exposed so tests and benches can
+  /// inject corruption. Throws std::out_of_range past int8_op_count().
   [[nodiscard]] std::pair<std::int8_t*, std::size_t> int8_weight_span(
       std::size_t index);
   [[nodiscard]] std::size_t arena_bytes() const noexcept {
@@ -305,6 +327,16 @@ class InferencePlan {
 
   void fuse_ops();
   void quantize_ops(float input_range);
+  /// The clamp a fused op's epilogue applies, resolved from its site now.
+  static ag::ClampSpec fused_clamp_spec(const Op& op);
+  /// Execute bodies of the fused kinds (`shortcut` is null without a
+  /// residual add).
+  void run_fused(const Op& op, std::int64_t batch, const float* x,
+                 const float* shortcut, float* scratch, float* o);
+  void run_int8_conv(const Op& op, std::int64_t batch, const float* x,
+                     const float* shortcut, float* o);
+  void run_int8_linear(const Op& op, std::int64_t batch, const float* x,
+                       float* o);
   void finalize_liveness();
   void plan_arena();
   [[nodiscard]] const Bucket& bucket_for(std::int64_t batch) const;
@@ -316,6 +348,7 @@ class InferencePlan {
   PlanValueId output_ = -1;
   std::size_t fused_ops_ = 0;
   std::size_t bn_folded_ = 0;
+  std::size_t residual_folded_ = 0;
   std::size_t int8_ops_ = 0;
   Precision precision_ = Precision::fp32;
   std::int64_t max_batch_ = 0;

@@ -254,23 +254,15 @@ void quantize_i8(const float* x, float inv_scale, std::int8_t* q,
   active_table().quantize_i8(x, inv_scale, q, n);
 }
 
-void dequant_i32(std::int32_t* acc, float scale, float bias,
-                 std::int64_t n) noexcept {
-  active_table().dequant_i32(acc, scale, bias, n);
+void quantize_hwc_i8(const float* x, float inv_scale, std::int8_t* q,
+                     std::int64_t channels, std::int64_t hw,
+                     std::int64_t row_stride) noexcept {
+  active_table().quantize_hwc_i8(x, inv_scale, q, channels, hw, row_stride);
 }
 
-std::uint64_t fused_dequant_clip_cc(std::int32_t* acc, float scale, float bias,
-                                    float bound, bool saturate, std::int64_t n,
-                                    bool count) noexcept {
-  return active_table().fused_dequant_clip_cc(acc, scale, bias, bound, saturate,
-                                              n, count);
-}
-
-std::uint64_t fused_dequant_clip_cr(std::int32_t* acc, float scale, float bias,
-                                    const float* bound, bool saturate,
-                                    std::int64_t n, bool count) noexcept {
-  return active_table().fused_dequant_clip_cr(acc, scale, bias, bound, saturate,
-                                              n, count);
+std::uint64_t dequant_plane(std::int32_t* acc, std::int64_t n,
+                            const DequantPlane& e) noexcept {
+  return active_table().dequant_plane(acc, n, e);
 }
 
 std::uint64_t fused_dequant_clip_rc(std::int32_t* acc, const float* scale,

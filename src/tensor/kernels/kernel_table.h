@@ -5,6 +5,8 @@
 
 #include <cstdint>
 
+#include "tensor/kernels/kernels.h"
+
 namespace fitact::kern {
 
 struct KernelTable {
@@ -61,15 +63,11 @@ struct KernelTable {
                         bool a_unsigned) noexcept;
   void (*quantize_i8)(const float* x, float inv_scale, std::int8_t* q,
                       std::int64_t n) noexcept;
-  void (*dequant_i32)(std::int32_t* acc, float scale, float bias,
-                      std::int64_t n) noexcept;
-  std::uint64_t (*fused_dequant_clip_cc)(std::int32_t* acc, float scale,
-                                         float bias, float bound, bool saturate,
-                                         std::int64_t n, bool count) noexcept;
-  std::uint64_t (*fused_dequant_clip_cr)(std::int32_t* acc, float scale,
-                                         float bias, const float* bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept;
+  void (*quantize_hwc_i8)(const float* x, float inv_scale, std::int8_t* q,
+                          std::int64_t channels, std::int64_t hw,
+                          std::int64_t row_stride) noexcept;
+  std::uint64_t (*dequant_plane)(std::int32_t* acc, std::int64_t n,
+                                 const DequantPlane& e) noexcept;
   std::uint64_t (*fused_dequant_clip_rc)(std::int32_t* acc, const float* scale,
                                          const float* bias, float bound,
                                          bool saturate, std::int64_t n,
@@ -95,16 +93,11 @@ void scalar_gemm_i8u8_dot(std::int64_t m, std::int64_t n, std::int64_t k,
                           bool a_unsigned) noexcept;
 void scalar_quantize_i8(const float* x, float inv_scale, std::int8_t* q,
                         std::int64_t n) noexcept;
-void scalar_dequant_i32(std::int32_t* acc, float scale, float bias,
-                        std::int64_t n) noexcept;
-std::uint64_t scalar_fused_dequant_clip_cc(std::int32_t* acc, float scale,
-                                           float bias, float bound,
-                                           bool saturate, std::int64_t n,
-                                           bool count) noexcept;
-std::uint64_t scalar_fused_dequant_clip_cr(std::int32_t* acc, float scale,
-                                           float bias, const float* bound,
-                                           bool saturate, std::int64_t n,
-                                           bool count) noexcept;
+void scalar_quantize_hwc_i8(const float* x, float inv_scale, std::int8_t* q,
+                            std::int64_t channels, std::int64_t hw,
+                            std::int64_t row_stride) noexcept;
+std::uint64_t scalar_dequant_plane(std::int32_t* acc, std::int64_t n,
+                                   const DequantPlane& e) noexcept;
 std::uint64_t scalar_fused_dequant_clip_rc(std::int32_t* acc,
                                            const float* scale,
                                            const float* bias, float bound,
@@ -128,15 +121,11 @@ void avx2_gemm_i8u8_dot(std::int64_t m, std::int64_t n, std::int64_t k,
                         std::int64_t ldc, bool a_unsigned) noexcept;
 void avx2_quantize_i8(const float* x, float inv_scale, std::int8_t* q,
                       std::int64_t n) noexcept;
-void avx2_dequant_i32(std::int32_t* acc, float scale, float bias,
-                      std::int64_t n) noexcept;
-std::uint64_t avx2_fused_dequant_clip_cc(std::int32_t* acc, float scale,
-                                         float bias, float bound, bool saturate,
-                                         std::int64_t n, bool count) noexcept;
-std::uint64_t avx2_fused_dequant_clip_cr(std::int32_t* acc, float scale,
-                                         float bias, const float* bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept;
+void avx2_quantize_hwc_i8(const float* x, float inv_scale, std::int8_t* q,
+                          std::int64_t channels, std::int64_t hw,
+                          std::int64_t row_stride) noexcept;
+std::uint64_t avx2_dequant_plane(std::int32_t* acc, std::int64_t n,
+                                 const DequantPlane& e) noexcept;
 std::uint64_t avx2_fused_dequant_clip_rc(std::int32_t* acc, const float* scale,
                                          const float* bias, float bound,
                                          bool saturate, std::int64_t n,

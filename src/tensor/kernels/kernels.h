@@ -254,32 +254,59 @@ void gemm_i8u8_dot(std::int64_t m, std::int64_t n, std::int64_t k,
 void quantize_i8(const float* x, float inv_scale, std::int8_t* q,
                  std::int64_t n) noexcept;
 
-/// Plain dequantize, in place over the accumulator span (reads int32, writes
-/// fp32 to the same bytes): out[i] = float(acc[i]) * scale + bias. Used when
-/// a BatchNorm sits between the int8 GEMM and the clamp.
-void dequant_i32(std::int32_t* acc, float scale, float bias,
-                 std::int64_t n) noexcept;
+/// quantize_i8 fused with the CHW -> HWC transpose an int8 conv's patch
+/// gather wants: x is one sample's [channels, hw] fp32 planes, and pixel p's
+/// quantized channels land in q[p*row_stride .. p*row_stride + channels),
+/// each byte rounded exactly as quantize_i8 rounds it. Bytes
+/// [channels, row_stride) of every row are zeroed (row_stride >= channels),
+/// so with row_stride = quant::q8_padded(channels) the output of a 1x1,
+/// stride-1, unpadded conv's input is already its zero-padded im2row patch
+/// matrix.
+void quantize_hwc_i8(const float* x, float inv_scale, std::int8_t* q,
+                     std::int64_t channels, std::int64_t hw,
+                     std::int64_t row_stride) noexcept;
 
-// Fused dequantize epilogues: the int8 analogue of fused_bias_clip_* above.
-// In place over the GEMM accumulator span, per element with
-//   xi = float(acc[i]) * scale + bias        (multiply then add, two IEEE
+/// The per-plane epilogue of an int8 conv (dequant_plane below): the
+/// channel's dequantize factor and bias, then optional steps, each skipped
+/// when its pointer is null.
+struct DequantPlane {
+  float scale = 0.0f;
+  float bias = 0.0f;
+  /// Folded eval-mode BatchNorm of the channel: {mean, invstd, gamma, beta}.
+  const float* bn = nullptr;
+  /// Residual shortcut plane (n elements) added after the BatchNorm.
+  const float* shortcut = nullptr;
+  /// Clamp bound: bound[0] for the whole plane, or bound[i] per element
+  /// when bound_per_element.
+  const float* bound = nullptr;
+  bool bound_per_element = false;
+  bool saturate = false;
+  bool count = false;  ///< tally elements above their bound
+};
+
+/// One int8 conv output plane, in place over its GEMM accumulator span
+/// (reads int32, writes fp32 to the same bytes), in one pass while the
+/// plane is cache-hot. Per element, in the eager op order:
+///   x = float(acc[i]) * scale + bias       (multiply then add, two IEEE
+///                                            roundings — never fused)
+///   x = (x - mean) * invstd * gamma + beta  (BatchNorm, left to right as
+///                                            in bn_plane_forward)
+///   x = x + shortcut[i]                     (residual add)
+///   clamp: x <= 0 -> 0; x <= b -> x; else saturate ? b : 0 (NaN lands in
+///          else); count tallies x > b
+/// Returns the tally (0 without a bound or without `count`).
+std::uint64_t dequant_plane(std::int32_t* acc, std::int64_t n,
+                            const DequantPlane& e) noexcept;
+
+// Fused dequantize epilogues of int8 linear rows: in place over the GEMM
+// accumulator span, per element with
+//   xi = float(acc[i]) * scale[i] + bias[i]  (multiply then add, two IEEE
 //                                             roundings — never fused)
 // then the identical clamp cascade: xi <= 0 -> 0; xi <= b -> xi; else
 // saturate ? b : 0 (NaN lands in else), count tallies xi > b. The clamp-event
-// statistic feeds the same detector as the fp32 path. Suffixes as for
-// fused_bias_clip_*: first letter = scale/bias shape (c = one constant pair
-// for the span — conv channel plane; r = per-element rows — linear output
-// row, where a null bias row means bias 0), second = bound shape.
-
-/// Conv channel plane (constant scale+bias) under a single bound value.
-std::uint64_t fused_dequant_clip_cc(std::int32_t* acc, float scale, float bias,
-                                    float bound, bool saturate, std::int64_t n,
-                                    bool count) noexcept;
-
-/// Conv channel plane under per-neuron bounds (one bound per element).
-std::uint64_t fused_dequant_clip_cr(std::int32_t* acc, float scale, float bias,
-                                    const float* bound, bool saturate,
-                                    std::int64_t n, bool count) noexcept;
+// statistic feeds the same detector as the fp32 path. Suffix: r = per-element
+// scale/bias rows (a null bias row means bias 0); second letter = bound
+// shape (c = one value, r = one per element).
 
 /// Linear output row (per-element scale/bias rows; bias may be null = 0)
 /// under a layer-granular bound.

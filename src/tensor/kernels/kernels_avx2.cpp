@@ -392,9 +392,8 @@ const KernelTable& avx2_table() noexcept {
       avx2_gemm_i8_dot,
       avx2_gemm_i8u8_dot,
       avx2_quantize_i8,
-      avx2_dequant_i32,
-      avx2_fused_dequant_clip_cc,
-      avx2_fused_dequant_clip_cr,
+      avx2_quantize_hwc_i8,
+      avx2_dequant_plane,
       avx2_fused_dequant_clip_rc,
       avx2_fused_dequant_clip_rr,
   };

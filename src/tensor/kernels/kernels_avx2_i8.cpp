@@ -19,14 +19,18 @@
 //     int32 madd keep it bit-identical to the scalar/signed kernels.
 //   * quantize_i8 mirrors the scalar clamp/round branches; NaN is masked to
 //     0 explicitly because maxps/minps would otherwise leak it as -127.
+//     quantize_hwc_i8 runs the same steps per 16-float run, then only moves
+//     the bytes (a 16x16 in-register transpose), so it rounds identically.
 //   * The dequantize epilogues use mul-then-add (two IEEE roundings), never
-//     FMA, matching scalar float(acc) * scale + bias exactly.
+//     FMA, matching scalar float(acc) * scale + bias exactly; dequant_plane's
+//     BatchNorm and residual add are likewise one IEEE op per step.
 #if defined(FITACT_HAVE_AVX2_KERNELS)
 
 #include <immintrin.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "tensor/kernels/kernel_table.h"
 
@@ -251,6 +255,123 @@ inline std::uint64_t count8(__m256 x, __m256 b) noexcept {
 /// float(acc) * scale + bias with two roundings (no FMA — see file comment).
 inline __m256 dequant8(__m256i acc, __m256 scale, __m256 bias) noexcept {
   return _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(acc), scale), bias);
+}
+
+/// Scalar quantize_i8 element (the vector kernels' ragged tails): round to
+/// nearest even, clamp to [-127, 127], NaN -> 0.
+inline std::int8_t quantize_one(float x, float inv_scale) noexcept {
+  float r = x * inv_scale;
+  if (!(r == r)) return 0;  // NaN
+  if (r > 127.0f) r = 127.0f;
+  if (r < -127.0f) r = -127.0f;
+  return static_cast<std::int8_t>(std::lrintf(r));
+}
+
+/// quantize_i8 of 16 consecutive floats into one 16-byte vector (same
+/// clamp, NaN mask and rounding as avx2_quantize_i8's 32-wide body).
+inline __m128i quant16(const float* x, __m256 inv) noexcept {
+  const __m256 lo = _mm256_set1_ps(-127.0f);
+  const __m256 hi = _mm256_set1_ps(127.0f);
+  __m256i vi[2];
+  for (int r = 0; r < 2; ++r) {
+    __m256 v = _mm256_mul_ps(_mm256_loadu_ps(x + 8 * r), inv);
+    const __m256 nan_mask = _mm256_cmp_ps(v, v, _CMP_UNORD_Q);
+    v = _mm256_min_ps(_mm256_max_ps(v, lo), hi);
+    vi[r] = _mm256_andnot_si256(_mm256_castps_si256(nan_mask),
+                                _mm256_cvtps_epi32(v));
+  }
+  // packs_epi32 yields int16 quads [a0-3, b0-3 | a4-7, b4-7]; the 64-bit
+  // permute restores [a0-7 | b0-7] before the final 16 -> 8 bit pack.
+  const __m256i ab =
+      _mm256_permute4x64_epi64(_mm256_packs_epi32(vi[0], vi[1]), 0xD8);
+  return _mm_packs_epi16(_mm256_castsi256_si128(ab),
+                         _mm256_extracti128_si256(ab, 1));
+}
+
+/// In-register transpose of a 16x16 byte matrix: on return t[j] holds
+/// column j of the input rows t[0..15]. Four interleave stages, each
+/// doubling the element width (8 -> 16 -> 32 -> 64 bits).
+inline void transpose16x16_epi8(__m128i t[16]) noexcept {
+  __m128i a[16];  // a[k] / a[k+8]: rows 2k,2k+1 interleaved, cols 0-7 / 8-15
+  for (int k = 0; k < 8; ++k) {
+    a[k] = _mm_unpacklo_epi8(t[2 * k], t[2 * k + 1]);
+    a[k + 8] = _mm_unpackhi_epi8(t[2 * k], t[2 * k + 1]);
+  }
+  __m128i b[16];  // b[4m+g]: rows 4m..4m+3 of cols 4g..4g+3
+  for (int m = 0; m < 4; ++m) {
+    b[4 * m + 0] = _mm_unpacklo_epi16(a[2 * m], a[2 * m + 1]);
+    b[4 * m + 1] = _mm_unpackhi_epi16(a[2 * m], a[2 * m + 1]);
+    b[4 * m + 2] = _mm_unpacklo_epi16(a[2 * m + 8], a[2 * m + 9]);
+    b[4 * m + 3] = _mm_unpackhi_epi16(a[2 * m + 8], a[2 * m + 9]);
+  }
+  __m128i c[16];  // c[8n+h]: rows 8n..8n+7 of cols 2h, 2h+1
+  for (int n = 0; n < 2; ++n) {
+    for (int g = 0; g < 4; ++g) {
+      c[8 * n + 2 * g] = _mm_unpacklo_epi32(b[8 * n + g], b[8 * n + 4 + g]);
+      c[8 * n + 2 * g + 1] =
+          _mm_unpackhi_epi32(b[8 * n + g], b[8 * n + 4 + g]);
+    }
+  }
+  for (int h = 0; h < 8; ++h) {
+    t[2 * h] = _mm_unpacklo_epi64(c[h], c[8 + h]);
+    t[2 * h + 1] = _mm_unpackhi_epi64(c[h], c[8 + h]);
+  }
+}
+
+enum : int { kNoBound = 0, kBoundConst = 1, kBoundRow = 2 };
+
+/// avx2_dequant_plane for one combination of steps (see kernels.h for the
+/// per-element sequence; every step is a separate IEEE op, as in the
+/// scalar kernel).
+template <bool kBn, bool kAdd, int kBound>
+std::uint64_t dequant_plane_body(std::int32_t* acc, std::int64_t n,
+                                 const DequantPlane& e) noexcept {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 sv = _mm256_set1_ps(e.scale);
+  const __m256 biasv = _mm256_set1_ps(e.bias);
+  const float mean = kBn ? e.bn[0] : 0.0f;
+  const float invstd = kBn ? e.bn[1] : 0.0f;
+  const float gamma = kBn ? e.bn[2] : 0.0f;
+  const float beta = kBn ? e.bn[3] : 0.0f;
+  const __m256 meanv = _mm256_set1_ps(mean);
+  const __m256 invstdv = _mm256_set1_ps(invstd);
+  const __m256 gammav = _mm256_set1_ps(gamma);
+  const __m256 betav = _mm256_set1_ps(beta);
+  const float bc = kBound == kBoundConst ? e.bound[0] : 0.0f;
+  const __m256 bcv = _mm256_set1_ps(bc);
+  std::uint64_t events = 0;
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256 x = dequant8(loadu_256(acc + i), sv, biasv);
+    if constexpr (kBn) {
+      x = _mm256_add_ps(
+          _mm256_mul_ps(_mm256_mul_ps(_mm256_sub_ps(x, meanv), invstdv),
+                        gammav),
+          betav);
+    }
+    if constexpr (kAdd) x = _mm256_add_ps(x, _mm256_loadu_ps(e.shortcut + i));
+    if constexpr (kBound != kNoBound) {
+      const __m256 bv =
+          kBound == kBoundRow ? _mm256_loadu_ps(e.bound + i) : bcv;
+      if (e.count) events += count8(x, bv);
+      x = clip8(x, bv, e.saturate ? bv : zero, zero);
+    }
+    _mm256_storeu_ps(reinterpret_cast<float*>(acc + i), x);
+  }
+  for (; i < n; ++i) {
+    float x = static_cast<float>(acc[i]) * e.scale + e.bias;
+    if constexpr (kBn) x = (x - mean) * invstd * gamma + beta;
+    if constexpr (kAdd) x = x + e.shortcut[i];
+    if constexpr (kBound != kNoBound) {
+      const float b = kBound == kBoundRow ? e.bound[i] : bc;
+      if (e.count) events += x > b;
+      x = x <= 0.0f ? 0.0f : (x <= b ? x : (e.saturate ? b : 0.0f));
+    }
+    std::int32_t raw;
+    __builtin_memcpy(&raw, &x, sizeof(raw));
+    acc[i] = raw;
+  }
+  return events;
 }
 
 }  // namespace
@@ -484,90 +605,74 @@ void avx2_quantize_i8(const float* x, float inv_scale, std::int8_t* q,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(q + i),
                         _mm256_permutevar8x32_epi32(abcd, order));
   }
-  for (; i < n; ++i) {
-    float r = x[i] * inv_scale;
-    if (!(r == r)) {
-      q[i] = 0;
-      continue;
+  for (; i < n; ++i) q[i] = quantize_one(x[i], inv_scale);
+}
+
+void avx2_quantize_hwc_i8(const float* x, float inv_scale, std::int8_t* q,
+                          std::int64_t channels, std::int64_t hw,
+                          std::int64_t row_stride) noexcept {
+  // Walk the output in 16-pixel row blocks. Each full 16-channel x 16-pixel
+  // tile quantizes 16 channel runs of 16 floats into 16 byte rows, transposes
+  // them in registers and stores 16 contiguous 16-byte pixel runs — no
+  // stride-`channels` byte stores. Ragged channel and pixel edges take the
+  // scalar element path, which rounds identically.
+  const __m256 inv = _mm256_set1_ps(inv_scale);
+  const std::int64_t c16 = channels & ~static_cast<std::int64_t>(15);
+  const std::int64_t p16 = hw & ~static_cast<std::int64_t>(15);
+  const auto scalar_rows = [&](std::int64_t p_lo, std::int64_t p_hi,
+                               std::int64_t c_lo) {
+    for (std::int64_t p = p_lo; p < p_hi; ++p) {
+      std::int8_t* row = q + p * row_stride;
+      for (std::int64_t c = c_lo; c < channels; ++c) {
+        row[c] = quantize_one(x[c * hw + p], inv_scale);
+      }
     }
-    if (r > 127.0f) r = 127.0f;
-    if (r < -127.0f) r = -127.0f;
-    q[i] = static_cast<std::int8_t>(std::lrintf(r));
+  };
+  for (std::int64_t p0 = 0; p0 < p16; p0 += 16) {
+    for (std::int64_t c0 = 0; c0 < c16; c0 += 16) {
+      __m128i t[16];
+      for (int r = 0; r < 16; ++r) t[r] = quant16(x + (c0 + r) * hw + p0, inv);
+      transpose16x16_epi8(t);
+      for (int r = 0; r < 16; ++r) {
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(q + (p0 + r) * row_stride +
+                                                    c0),
+                         t[r]);
+      }
+    }
+    scalar_rows(p0, p0 + 16, c16);
+  }
+  scalar_rows(p16, hw, 0);
+  if (row_stride > channels) {
+    for (std::int64_t p = 0; p < hw; ++p) {
+      std::memset(q + p * row_stride + channels, 0,
+                  static_cast<std::size_t>(row_stride - channels));
+    }
   }
 }
 
-void avx2_dequant_i32(std::int32_t* acc, float scale, float bias,
-                      std::int64_t n) noexcept {
-  const __m256 sv = _mm256_set1_ps(scale);
-  const __m256 bv = _mm256_set1_ps(bias);
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(reinterpret_cast<float*>(acc + i),
-                     dequant8(loadu_256(acc + i), sv, bv));
-  }
-  for (; i < n; ++i) {
-    const float xi = static_cast<float>(acc[i]) * scale + bias;
-    std::int32_t raw;
-    __builtin_memcpy(&raw, &xi, sizeof(raw));
-    acc[i] = raw;
-  }
-}
-
-std::uint64_t avx2_fused_dequant_clip_cc(std::int32_t* acc, float scale,
-                                         float bias, float bound, bool saturate,
-                                         std::int64_t n, bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 sv = _mm256_set1_ps(scale);
-  const __m256 biasv = _mm256_set1_ps(bias);
-  const __m256 bv = _mm256_set1_ps(bound);
-  const __m256 over = saturate ? bv : zero;
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = dequant8(loadu_256(acc + i), sv, biasv);
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(reinterpret_cast<float*>(acc + i),
-                     clip8(xv, bv, over, zero));
-  }
-  const float over_s = saturate ? bound : 0.0f;
-  for (; i < n; ++i) {
-    const float xi = static_cast<float>(acc[i]) * scale + bias;
-    if (count) events += xi > bound;
-    const float r = xi <= 0.0f ? 0.0f : (xi <= bound ? xi : over_s);
-    std::int32_t raw;
-    __builtin_memcpy(&raw, &r, sizeof(raw));
-    acc[i] = raw;
-  }
-  return events;
-}
-
-std::uint64_t avx2_fused_dequant_clip_cr(std::int32_t* acc, float scale,
-                                         float bias, const float* bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 sv = _mm256_set1_ps(scale);
-  const __m256 biasv = _mm256_set1_ps(bias);
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = dequant8(loadu_256(acc + i), sv, biasv);
-    const __m256 bv = _mm256_loadu_ps(bound + i);
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(reinterpret_cast<float*>(acc + i),
-                     clip8(xv, bv, saturate ? bv : zero, zero));
-  }
-  for (; i < n; ++i) {
-    const float xi = static_cast<float>(acc[i]) * scale + bias;
-    const float bi = bound[i];
-    if (count) events += xi > bi;
-    const float r =
-        xi <= 0.0f ? 0.0f : (xi <= bi ? xi : (saturate ? bi : 0.0f));
-    std::int32_t raw;
-    __builtin_memcpy(&raw, &r, sizeof(raw));
-    acc[i] = raw;
-  }
-  return events;
+std::uint64_t avx2_dequant_plane(std::int32_t* acc, std::int64_t n,
+                                 const DequantPlane& e) noexcept {
+  // One instantiation per step combination keeps the option tests out of
+  // the vector loop.
+  using Body = std::uint64_t (*)(std::int32_t*, std::int64_t,
+                                 const DequantPlane&) noexcept;
+  static constexpr Body kBodies[2][2][3] = {
+      {{dequant_plane_body<false, false, kNoBound>,
+        dequant_plane_body<false, false, kBoundConst>,
+        dequant_plane_body<false, false, kBoundRow>},
+       {dequant_plane_body<false, true, kNoBound>,
+        dequant_plane_body<false, true, kBoundConst>,
+        dequant_plane_body<false, true, kBoundRow>}},
+      {{dequant_plane_body<true, false, kNoBound>,
+        dequant_plane_body<true, false, kBoundConst>,
+        dequant_plane_body<true, false, kBoundRow>},
+       {dequant_plane_body<true, true, kNoBound>,
+        dequant_plane_body<true, true, kBoundConst>,
+        dequant_plane_body<true, true, kBoundRow>}}};
+  const int bound = e.bound == nullptr
+                        ? kNoBound
+                        : (e.bound_per_element ? kBoundRow : kBoundConst);
+  return kBodies[e.bn != nullptr][e.shortcut != nullptr][bound](acc, n, e);
 }
 
 std::uint64_t avx2_fused_dequant_clip_rc(std::int32_t* acc, const float* scale,

@@ -248,9 +248,8 @@ const KernelTable& scalar_table() noexcept {
       scalar_gemm_i8_dot,
       scalar_gemm_i8u8_dot,
       scalar_quantize_i8,
-      scalar_dequant_i32,
-      scalar_fused_dequant_clip_cc,
-      scalar_fused_dequant_clip_cr,
+      scalar_quantize_hwc_i8,
+      scalar_dequant_plane,
       scalar_fused_dequant_clip_rc,
       scalar_fused_dequant_clip_rr,
   };

@@ -26,6 +26,16 @@ inline void store_f32(std::int32_t* p, float v) noexcept {
   std::memcpy(p, &v, sizeof(v));
 }
 
+/// One element of quantize_i8: round-to-nearest-even of x * inv_scale,
+/// clamped to [-127, 127], NaN -> 0.
+inline std::int8_t quantize_one(float x, float inv_scale) noexcept {
+  float r = x * inv_scale;
+  if (!(r == r)) return 0;  // NaN
+  if (r > 127.0f) r = 127.0f;
+  if (r < -127.0f) r = -127.0f;
+  return static_cast<std::int8_t>(std::lrintf(r));
+}
+
 inline float clip_cascade(float xi, float bi, bool saturate) noexcept {
   if (xi <= 0.0f) return 0.0f;
   if (xi <= bi) return xi;
@@ -66,48 +76,35 @@ void scalar_gemm_i8u8_dot(std::int64_t m, std::int64_t n, std::int64_t k,
 
 void scalar_quantize_i8(const float* x, float inv_scale, std::int8_t* q,
                         std::int64_t n) noexcept {
-  for (std::int64_t i = 0; i < n; ++i) {
-    float r = x[i] * inv_scale;
-    if (!(r == r)) {  // NaN
-      q[i] = 0;
-      continue;
+  for (std::int64_t i = 0; i < n; ++i) q[i] = quantize_one(x[i], inv_scale);
+}
+
+void scalar_quantize_hwc_i8(const float* x, float inv_scale, std::int8_t* q,
+                            std::int64_t channels, std::int64_t hw,
+                            std::int64_t row_stride) noexcept {
+  for (std::int64_t p = 0; p < hw; ++p) {
+    std::int8_t* row = q + p * row_stride;
+    for (std::int64_t c = 0; c < channels; ++c) {
+      row[c] = quantize_one(x[c * hw + p], inv_scale);
     }
-    if (r > 127.0f) r = 127.0f;
-    if (r < -127.0f) r = -127.0f;
-    q[i] = static_cast<std::int8_t>(std::lrintf(r));
+    std::memset(row + channels, 0,
+                static_cast<std::size_t>(row_stride - channels));
   }
 }
 
-void scalar_dequant_i32(std::int32_t* acc, float scale, float bias,
-                        std::int64_t n) noexcept {
-  for (std::int64_t i = 0; i < n; ++i) {
-    store_f32(acc + i, static_cast<float>(load_i32(acc + i)) * scale + bias);
-  }
-}
-
-std::uint64_t scalar_fused_dequant_clip_cc(std::int32_t* acc, float scale,
-                                           float bias, float bound,
-                                           bool saturate, std::int64_t n,
-                                           bool count) noexcept {
+std::uint64_t scalar_dequant_plane(std::int32_t* acc, std::int64_t n,
+                                   const DequantPlane& e) noexcept {
   std::uint64_t events = 0;
   for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = static_cast<float>(load_i32(acc + i)) * scale + bias;
-    if (count) events += xi > bound;
-    store_f32(acc + i, clip_cascade(xi, bound, saturate));
-  }
-  return events;
-}
-
-std::uint64_t scalar_fused_dequant_clip_cr(std::int32_t* acc, float scale,
-                                           float bias, const float* bound,
-                                           bool saturate, std::int64_t n,
-                                           bool count) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = static_cast<float>(load_i32(acc + i)) * scale + bias;
-    const float bi = bound[i];
-    if (count) events += xi > bi;
-    store_f32(acc + i, clip_cascade(xi, bi, saturate));
+    float x = static_cast<float>(load_i32(acc + i)) * e.scale + e.bias;
+    if (e.bn != nullptr) x = (x - e.bn[0]) * e.bn[1] * e.bn[2] + e.bn[3];
+    if (e.shortcut != nullptr) x = x + e.shortcut[i];
+    if (e.bound != nullptr) {
+      const float b = e.bound[e.bound_per_element ? i : 0];
+      if (e.count) events += x > b;
+      x = clip_cascade(x, b, e.saturate);
+    }
+    store_f32(acc + i, x);
   }
   return events;
 }

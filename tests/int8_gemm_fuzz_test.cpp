@@ -274,9 +274,60 @@ TEST(Int8GemmFuzz, QuantizeBitIdenticalAcrossBackends) {
   }
 }
 
-/// All four fused epilogue variants plus the plain dequantize, scalar vs
-/// AVX2: the written float bit patterns and the clamp-event counts must
-/// match exactly (memcmp over the raw buffers).
+// quantize_hwc_i8 is quantize_i8 plus the CHW -> HWC transpose and a
+// zeroed row tail. Both backends must write exactly the bytes of that
+// composition — the AVX2 kernel's 16x16 tiles and its ragged channel and
+// pixel edges alike — for any row stride >= channels, and for the values
+// only faults produce (NaN, +-inf, far out of range).
+TEST(Int8GemmFuzz, QuantizeHwcMatchesQuantizeThenTransposeOnBothBackends) {
+  ut::Rng rng(20261017);
+  for (const std::int64_t c : {3LL, 16LL, 17LL, 64LL, 256LL}) {
+    for (const std::int64_t hw : {1LL, 15LL, 16LL, 64LL, 1024LL}) {
+      const std::int64_t n = c * hw;
+      std::vector<float> x(static_cast<std::size_t>(n));
+      for (auto& v : x) v = rng.normal() * 40.0f;
+      const float specials[] = {std::nanf(""), HUGE_VALF, -HUGE_VALF, 1e30f,
+                                -1e30f,        -0.0f,     2.5f,       -2.5f};
+      for (const float v : specials) {
+        x[static_cast<std::size_t>(rng.next_below(
+            static_cast<std::uint64_t>(n)))] = v;
+      }
+      const float inv_scale = 0.5f;
+      std::vector<std::int8_t> chw(static_cast<std::size_t>(n));
+      {
+        const kern::BackendGuard guard(kern::Backend::scalar);
+        kern::quantize_i8(x.data(), inv_scale, chw.data(), n);
+      }
+      for (const std::int64_t row_stride :
+           {c, c + 5, quant::q8_padded(c), quant::q8_padded(c) + 32}) {
+        std::vector<std::int8_t> want(
+            static_cast<std::size_t>(hw * row_stride), 0);
+        for (std::int64_t p = 0; p < hw; ++p) {
+          for (std::int64_t ch = 0; ch < c; ++ch) {
+            want[static_cast<std::size_t>(p * row_stride + ch)] =
+                chw[static_cast<std::size_t>(ch * hw + p)];
+          }
+        }
+        for (const kern::Backend backend : backends_under_test()) {
+          const kern::BackendGuard guard(backend);
+          // Dirty destination: every byte, tail included, must be written.
+          std::vector<std::int8_t> got(want.size(), 0x5A);
+          kern::quantize_hwc_i8(x.data(), inv_scale, got.data(), c, hw,
+                                row_stride);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size()), 0)
+              << kern::backend_name(backend) << " c=" << c << " hw=" << hw
+              << " row_stride=" << row_stride;
+        }
+      }
+    }
+  }
+}
+
+/// Every step combination of the conv plane epilogue (BatchNorm, residual
+/// add, no / one / per-element bound) plus the linear row epilogues, scalar
+/// vs AVX2: the written float bit patterns and the clamp-event counts must
+/// match exactly (memcmp over the raw buffers), and the counts must equal a
+/// recount of the per-element sequence kernels.h documents.
 TEST(Int8GemmFuzz, DequantEpiloguesBitIdenticalAcrossBackends) {
   ut::Rng rng(20250804);
   for (const std::int64_t n : {1LL, 5LL, 8LL, 9LL, 24LL, 100LL}) {
@@ -286,6 +337,7 @@ TEST(Int8GemmFuzz, DequantEpiloguesBitIdenticalAcrossBackends) {
         std::vector<float> scale_row(static_cast<std::size_t>(n));
         std::vector<float> bias_row(static_cast<std::size_t>(n));
         std::vector<float> bound_row(static_cast<std::size_t>(n));
+        std::vector<float> shortcut(static_cast<std::size_t>(n));
         for (auto& v : acc0) v = static_cast<std::int32_t>(
             rng.next_int(-4000000, 4000000));
         for (auto& v : scale_row)
@@ -293,40 +345,52 @@ TEST(Int8GemmFuzz, DequantEpiloguesBitIdenticalAcrossBackends) {
         for (auto& v : bias_row) v = rng.normal() * 0.5f;
         for (auto& v : bound_row)
           v = static_cast<float>(rng.next_double() * 4.0);
+        for (auto& v : shortcut)
+          v = static_cast<float>(rng.next_double() * 3.0);
         const float scale_c = 1.5e-5f;
         const float bias_c = 0.25f;
         const float bound_c = 2.0f;
+        // BatchNorm {mean, invstd, gamma, beta}.
+        const float bn[4] = {0.3f, 1.7f, -0.9f, 0.6f};
 
-        // variant id -> runs the kernel on `acc`, returns events.
+        // Variants 0..11 are dequant_plane step combinations: bit 0 = BN,
+        // bit 1 = shortcut, (variant >> 2) = no / const / per-element bound.
+        // 12..14 are the linear row epilogues.
+        const auto plane_of = [&](int variant) {
+          kern::DequantPlane e;
+          e.scale = scale_c;
+          e.bias = bias_c;
+          if (variant & 1) e.bn = bn;
+          if (variant & 2) e.shortcut = shortcut.data();
+          const int bound = variant >> 2;
+          if (bound == 1) e.bound = &bound_c;
+          if (bound == 2) e.bound = bound_row.data();
+          e.bound_per_element = bound == 2;
+          e.saturate = saturate;
+          e.count = count;
+          return e;
+        };
         const auto run = [&](int variant, std::vector<std::int32_t>& acc)
             -> std::uint64_t {
           switch (variant) {
-            case 0:
-              kern::dequant_i32(acc.data(), scale_c, bias_c, n);
-              return 0;
-            case 1:
-              return kern::fused_dequant_clip_cc(acc.data(), scale_c, bias_c,
-                                                 bound_c, saturate, n, count);
-            case 2:
-              return kern::fused_dequant_clip_cr(acc.data(), scale_c, bias_c,
-                                                 bound_row.data(), saturate, n,
-                                                 count);
-            case 3:
+            case 12:
               return kern::fused_dequant_clip_rc(acc.data(), scale_row.data(),
                                                  bias_row.data(), bound_c,
                                                  saturate, n, count);
-            case 4:  // null bias row == all-zero bias
+            case 13:  // null bias row == all-zero bias
               return kern::fused_dequant_clip_rc(acc.data(), scale_row.data(),
                                                  nullptr, bound_c, saturate, n,
                                                  count);
-            default:
+            case 14:
               return kern::fused_dequant_clip_rr(acc.data(), scale_row.data(),
                                                  bias_row.data(),
                                                  bound_row.data(), saturate, n,
                                                  count);
+            default:
+              return kern::dequant_plane(acc.data(), n, plane_of(variant));
           }
         };
-        for (int variant = 0; variant <= 5; ++variant) {
+        for (int variant = 0; variant <= 14; ++variant) {
           std::vector<std::vector<std::int32_t>> outs;
           std::vector<std::uint64_t> events;
           for (const kern::Backend backend : backends_under_test()) {
@@ -343,21 +407,30 @@ TEST(Int8GemmFuzz, DequantEpiloguesBitIdenticalAcrossBackends) {
                     0)
               << "variant " << variant << " n=" << n << " sat=" << saturate
               << " count=" << count;
-          if (count && variant > 0) {
-            // The tally must equal the scalar recount of xi > bound.
-            std::uint64_t want = 0;
-            for (std::int64_t i = 0; i < n; ++i) {
-              const std::size_t s = static_cast<std::size_t>(i);
-              const float sc = variant <= 2 ? scale_c : scale_row[s];
-              const float bi = variant <= 2 ? bias_c
-                               : variant == 4 ? 0.0f
-                                              : bias_row[s];
-              const float bo =
-                  (variant == 2 || variant == 5) ? bound_row[s] : bound_c;
-              want += static_cast<float>(acc0[s]) * sc + bi > bo;
-            }
-            EXPECT_EQ(events[0], want) << "variant " << variant << " n=" << n;
+          const bool has_bound = variant >= 12 || (variant >> 2) > 0;
+          if (!count || !has_bound) {
+            EXPECT_EQ(events[0], 0u) << "variant " << variant;
+            continue;
           }
+          // The tally must equal a scalar recount of x > bound.
+          std::uint64_t want = 0;
+          for (std::int64_t i = 0; i < n; ++i) {
+            const std::size_t s = static_cast<std::size_t>(i);
+            float x = 0.0f;
+            float bo = bound_c;
+            if (variant >= 12) {
+              const float bi = variant == 13 ? 0.0f : bias_row[s];
+              x = static_cast<float>(acc0[s]) * scale_row[s] + bi;
+              if (variant == 14) bo = bound_row[s];
+            } else {
+              x = static_cast<float>(acc0[s]) * scale_c + bias_c;
+              if (variant & 1) x = (x - bn[0]) * bn[1] * bn[2] + bn[3];
+              if (variant & 2) x = x + shortcut[s];
+              if ((variant >> 2) == 2) bo = bound_row[s];
+            }
+            want += x > bo;
+          }
+          EXPECT_EQ(events[0], want) << "variant " << variant << " n=" << n;
         }
       }
     }

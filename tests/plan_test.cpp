@@ -165,10 +165,13 @@ TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
   const auto unfused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 8,
                                                   /*fuse=*/false);
   EXPECT_EQ(unfused->fused_op_count(), 0u);
-  // Each fused pair removes exactly one op from the sequence, and each
-  // BN-folded triple removes one more on top of its pair's.
+  EXPECT_EQ(unfused->residual_folded_op_count(), 0u);
+  // Each fused op removes exactly one op from the sequence (its clamp, or a
+  // projection's BN), each BN folded on top of a clamp removes one more,
+  // and each residual tail removes its add as well.
   EXPECT_EQ(fused->op_count() + fused->fused_op_count() +
-                fused->bn_folded_op_count(),
+                fused->bn_folded_op_count() +
+                fused->residual_folded_op_count(),
             unfused->op_count());
   // Killing intermediates can only ever release liveness pressure.
   EXPECT_LE(fused->arena_bytes(), unfused->arena_bytes());
@@ -177,9 +180,17 @@ TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
   // resnet50's conv->bn->act triples via the BatchNorm fold.
   EXPECT_GT(fused->fused_op_count(), 0u);
   if (name == "resnet50") {
-    EXPECT_GT(fused->bn_folded_op_count(), 0u);
+    // Every conv folds: the stem and each block's conv1/conv2 as conv ->
+    // BN -> clamp, each block's conv3 as a residual tail (16 blocks), and
+    // the 4 projection shortcuts as conv -> BN. Only the pool and the
+    // classifier linear (no trailing activation) stay unfused.
+    EXPECT_EQ(fused->residual_folded_op_count(), 16u);
+    EXPECT_EQ(fused->bn_folded_op_count(), 1u + 2u * 16u + 16u);
+    EXPECT_EQ(fused->fused_op_count(), 1u + 3u * 16u + 4u);
+    EXPECT_EQ(fused->op_count(), fused->fused_op_count() + 2u);
   } else {
     EXPECT_EQ(fused->bn_folded_op_count(), 0u);
+    EXPECT_EQ(fused->residual_folded_op_count(), 0u);
   }
   if (name == "tinycnn" || name == "alexnet") {
     // Here an activation output participates in the peak-liveness set, so
@@ -525,6 +536,116 @@ TEST(PlanInt8, WeightCorruptionRaisesClampEventsAndRestoreRecovers) {
   core::reset_clamp_counters(sites);
 }
 
+// ResNet50 runs every conv in int8: the residual tails (conv3 -> bn3 ->
+// add -> act_out) and the clamp-free projection shortcuts quantize along
+// with the block heads, so only the global pool and the classifier linear
+// (no trailing activation) remain fp32. Every sample of a batch of 3 and
+// of 8 must equal that sample run alone, bit-for-bit, on both kernel
+// backends: per-sample int8 staging, GEMM and epilogue make a request's
+// answer independent of the batch it was assembled into.
+TEST(PlanInt8, ResNet50QuantizesEveryConvAndBatchesMatchSamplesAlone) {
+  const auto model = zoo_model("resnet50", core::Scheme::clip_act, 43);
+  ut::Rng rng(73);
+  const Tensor x = Tensor::randn(Shape{11, 3, 32, 32}, rng);
+  const auto plan = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 8,
+                                               /*fuse=*/true,
+                                               nn::Precision::int8,
+                                               max_abs(x));
+  EXPECT_EQ(plan->op_count(), plan->int8_op_count() + 2u);
+  EXPECT_LE(plan->int8_op_count(), plan->fused_op_count());
+  EXPECT_EQ(plan->residual_folded_op_count(), 16u);
+  const std::int64_t in_numel = x.numel() / 11;
+  for (const kern::Backend backend :
+       {kern::Backend::scalar,
+        kern::avx2_supported() ? kern::Backend::avx2 : kern::Backend::scalar}) {
+    const kern::BackendGuard guard(backend);
+    const std::string ctx =
+        std::string("backend ") + kern::backend_name(backend);
+    std::vector<Tensor> alone;
+    for (std::int64_t i = 0; i < 11; ++i) {
+      std::memcpy(plan->input_view(1).data(), x.data() + i * in_numel,
+                  sizeof(float) * static_cast<std::size_t>(in_numel));
+      alone.push_back(plan->execute(1).clone());
+    }
+    std::int64_t first = 0;
+    for (const std::int64_t b : {3, 8}) {
+      std::memcpy(plan->input_view(b).data(), x.data() + first * in_numel,
+                  sizeof(float) * static_cast<std::size_t>(b * in_numel));
+      const Tensor& got = plan->execute(b);
+      const std::int64_t out_numel = got.numel() / b;
+      for (std::int64_t i = 0; i < b; ++i) {
+        for (std::int64_t j = 0; j < out_numel; ++j) {
+          ASSERT_EQ(got[i * out_numel + j],
+                    alone[static_cast<std::size_t>(first + i)][j])
+              << ctx << " batch " << b << " sample " << i << " element " << j;
+        }
+      }
+      first += b;
+    }
+  }
+}
+
+// Fault lifecycle of a fused residual tail: its live int8 bytes are the
+// deployed conv3 weights. Saturating them must raise clamp events at the
+// block's act_out site (the tail's clamp), and restore_int8_weights() must
+// bring the output back bit-identical to the clean run.
+TEST(PlanInt8, ResidualTailCorruptionRaisesActOutEventsAndRestoreRecovers) {
+  const auto model = zoo_model("resnet50", core::Scheme::clip_act, 47);
+  const auto sites = core::collect_activations(*model);
+  for (const auto& site : sites) site->set_clamp_counting(true);
+  ut::Rng rng(89);
+  const Tensor x = Tensor::randn(Shape{4, 3, 32, 32}, rng);
+  const auto plan = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 4,
+                                               /*fuse=*/true,
+                                               nn::Precision::int8,
+                                               max_abs(x));
+  // int8 ops run in program order: the stem, then per block conv1, conv2,
+  // the projection (when the block has one) and the tail, which runs at the
+  // add's position after the projection. Take the first block with an
+  // identity shortcut.
+  std::size_t tail_index = 0;
+  std::shared_ptr<core::BoundedActivation> act_out;
+  std::size_t next = 1;  // op 0 is the stem
+  for (const auto& [name, child] : model->children()) {
+    std::shared_ptr<nn::Module> out_site;
+    bool has_proj = false;
+    for (const auto& [cname, grandchild] : child->children()) {
+      if (cname == "act_out") out_site = grandchild;
+      if (cname == "proj_conv") has_proj = true;
+    }
+    if (!out_site) continue;
+    if (!has_proj) {
+      tail_index = next + 2;
+      act_out = std::dynamic_pointer_cast<core::BoundedActivation>(out_site);
+      break;
+    }
+    next += 4;
+  }
+  ASSERT_TRUE(act_out != nullptr);
+  const auto run = [&] {
+    core::reset_clamp_counters(sites);
+    std::memcpy(plan->input_view(4).data(), x.data(),
+                sizeof(float) * static_cast<std::size_t>(x.numel()));
+    const Tensor out = plan->execute(4).clone();
+    return std::make_pair(out, act_out->clamp_events());
+  };
+  const auto [clean, clean_events] = run();
+  const auto [bytes, count] = plan->int8_weight_span(tail_index);
+  ASSERT_GT(count, 0u);
+  // Coherent +127 weights over a nonnegative (clamped) input push every
+  // output channel far above the act_out bound.
+  for (std::size_t i = 0; i < count; ++i) bytes[i] = 127;
+  const auto [corrupt, corrupt_events] = run();
+  EXPECT_GT(corrupt_events, clean_events);
+
+  plan->restore_int8_weights();
+  const auto [recovered, recovered_events] = run();
+  expect_bit_identical(recovered, clean, "post-restore resnet50 int8 outputs");
+  EXPECT_EQ(recovered_events, clean_events);
+  for (const auto& site : sites) site->set_clamp_counting(false);
+  core::reset_clamp_counters(sites);
+}
+
 // Unbounded ReLU models plan too (no bounds required at record time).
 TEST(Plan, ReluSchemeMatchesEager) {
   const auto model = zoo_model("tinycnn", core::Scheme::relu, 13);
@@ -552,6 +673,41 @@ TEST(Plan, SeesSchemeChangesAppliedAfterCompile) {
   std::memcpy(plan->input_view(2).data(), x.data(),
               sizeof(float) * static_cast<std::size_t>(x.numel()));
   expect_bit_identical(plan->execute(2), want, "post-compile fitrelu");
+}
+
+// The executor's site guards: a site switched into profiling mode after
+// compile fails every planned op kind that reads it (activation, fused
+// fp32, fused int8) instead of being silently bypassed, and an int8 op
+// whose site left the clamp scheme it was quantized under demands a
+// recompile. Both recover once the site is restored.
+TEST(Plan, SiteModeAndSchemeChangesAfterCompileFailLoudly) {
+  const auto model = zoo_model("tinycnn", core::Scheme::clip_act, 19);
+  const auto sites = core::collect_activations(*model);
+  ut::Rng rng(37);
+  const Tensor x = Tensor::randn(Shape{2, 3, 32, 32}, rng);
+  const auto fused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 2);
+  const auto unfused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 2,
+                                                  /*fuse=*/false);
+  const auto int8 = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 2,
+                                               /*fuse=*/true,
+                                               nn::Precision::int8,
+                                               max_abs(x));
+  const auto run = [&](nn::InferencePlan& plan) {
+    std::memcpy(plan.input_view(2).data(), x.data(),
+                sizeof(float) * static_cast<std::size_t>(x.numel()));
+    (void)plan.execute(2);
+  };
+  for (auto* plan : {fused.get(), unfused.get(), int8.get()}) {
+    sites.front()->set_profiling(true);
+    EXPECT_THROW(run(*plan), std::logic_error);
+    sites.front()->set_profiling(false);
+    EXPECT_NO_THROW(run(*plan));
+  }
+  core::apply_protection(*model, core::Scheme::fitrelu);
+  EXPECT_THROW(run(*int8), std::logic_error);
+  EXPECT_NO_THROW(run(*fused));  // fp32 plans follow re-protection
+  core::apply_protection(*model, core::Scheme::clip_act);
+  EXPECT_NO_THROW(run(*int8));
 }
 
 // Serving matrix: planned lanes and eager lanes produce bit-identical
@@ -605,13 +761,20 @@ TEST(PlanServe, PlannedLanesMatchEagerLanesBitForBit) {
 // allocations. Two warm-up executes pay the one-time lazy costs (the GEMM
 // pack buffer is thread_local), then eight measured executes must leave
 // the global allocation counter untouched. vgg16 adds the grouped GEMMs of
-// its 2x2-output convs, which run out of the compile-time scratch block.
+// its 2x2-output convs, which run out of the compile-time scratch block;
+// resnet50 adds the residual tails and projections, in fp32 and in int8.
 TEST(PlanAllocations, SteadyStateExecuteDoesNotTouchTheHeap) {
-  for (const char* name : {"tinycnn", "vgg16"}) {
+  const std::pair<const char*, nn::Precision> cases[] = {
+      {"tinycnn", nn::Precision::fp32},
+      {"vgg16", nn::Precision::fp32},
+      {"resnet50", nn::Precision::fp32},
+      {"resnet50", nn::Precision::int8}};
+  for (const auto& [name, precision] : cases) {
     const auto model = zoo_model(name, core::Scheme::clip_act, 11);
-    const auto plan = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 4);
     ut::Rng rng(5);
     const Tensor x = Tensor::randn(Shape{4, 3, 32, 32}, rng);
+    const auto plan = nn::InferencePlan::compile(
+        model, Shape{3, 32, 32}, 4, /*fuse=*/true, precision, max_abs(x));
     std::memcpy(plan->input_view(4).data(), x.data(),
                 sizeof(float) * static_cast<std::size_t>(x.numel()));
     (void)plan->execute(4);
@@ -620,8 +783,9 @@ TEST(PlanAllocations, SteadyStateExecuteDoesNotTouchTheHeap) {
         g_alloc_count.load(std::memory_order_relaxed);
     for (int i = 0; i < 8; ++i) (void)plan->execute(4);
     const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u) << name << ": steady-state execute allocated "
-                                  << (after - before) << " times";
+    EXPECT_EQ(after - before, 0u)
+        << name << (precision == nn::Precision::int8 ? " int8" : " fp32")
+        << ": steady-state execute allocated " << (after - before) << " times";
   }
 }
 #endif  // FITACT_COUNT_ALLOCS
