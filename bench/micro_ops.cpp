@@ -28,7 +28,8 @@ namespace {
 using namespace fitact;
 
 // The dispatched-vs-scalar pairs below (BM_Sgemm / BM_SgemmScalar, the
-// activation family / BM_ActivationClipActScalar, BM_ModelForwardPlanned /
+// activation family / BM_ActivationClipActScalar and
+// BM_ActivationFitRelu{,Backward}Scalar, BM_ModelForwardPlanned /
 // BM_ModelForwardPlannedScalar) are the kernel-dispatch A/B: the unsuffixed
 // form runs whatever backend the process resolved (AVX2 where supported),
 // the Scalar form pins the portable backend for the duration of the
@@ -134,12 +135,46 @@ void BM_ActivationClipActScalar(benchmark::State& state) {
   const kern::BackendGuard guard(kern::Backend::scalar);
   activation_bench(state, core::Scheme::clip_act);
 }
+void BM_ActivationFitReluScalar(benchmark::State& state) {
+  const kern::BackendGuard guard(kern::Backend::scalar);
+  activation_bench(state, core::Scheme::fitrelu);
+}
+
+// The post-training backward of FitReLU on the activation_bench shape with
+// per-neuron λ: dx and dλ accumulated by one dispatched pass.
+void fitrelu_backward_bench(benchmark::State& state) {
+  constexpr std::int64_t kFeat = 16 * 16 * 16;
+  constexpr std::int64_t kN = 4 * kFeat;
+  ut::Rng rng(4);
+  const Tensor x = Tensor::rand_uniform(Shape{kN}, rng, -1.0f, 3.0f);
+  const Tensor g = Tensor::randn(Shape{kN}, rng);
+  const Tensor lambda = Tensor::rand_uniform(Shape{kFeat}, rng, 1.0f, 2.5f);
+  Tensor dx = Tensor::zeros(Shape{kN});
+  Tensor dlambda = Tensor::zeros(Shape{kFeat});
+  for (auto _ : state) {
+    kern::fitrelu_backward(x.data(), g.data(), lambda.data(), kFeat, kFeat, 1,
+                           8.0f, dx.data(), dlambda.data(), kN);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::DoNotOptimize(dlambda.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kN);
+}
+void BM_ActivationFitReluBackward(benchmark::State& state) {
+  fitrelu_backward_bench(state);
+}
+void BM_ActivationFitReluBackwardScalar(benchmark::State& state) {
+  const kern::BackendGuard guard(kern::Backend::scalar);
+  fitrelu_backward_bench(state);
+}
 BENCHMARK(BM_ActivationRelu);
 BENCHMARK(BM_ActivationClipAct);
 BENCHMARK(BM_ActivationClipActScalar);
 BENCHMARK(BM_ActivationRanger);
 BENCHMARK(BM_ActivationFitReluNaive);
 BENCHMARK(BM_ActivationFitRelu);
+BENCHMARK(BM_ActivationFitReluScalar);
+BENCHMARK(BM_ActivationFitReluBackward);
+BENCHMARK(BM_ActivationFitReluBackwardScalar);
 
 // Whole-model inference A/B: the eager forward (fresh tensors per op, graph
 // bookkeeping) vs the recorded plan (pre-planned arena, zero steady-state

@@ -251,15 +251,11 @@ int main(int argc, char** argv) {
   }
   ut::set_log_level(ut::LogLevel::warn);
 
-  // Pin the kernel backend before any model work so preparation, every
-  // serving phase, and the sgemm A/B all run the requested arithmetic.
-  // "scalar" goes through both levers on purpose: the immediate
-  // force_backend pins the direct-forward phase, and the ServerOptions
-  // knob exercises the server-side wiring production configs would use.
-  bool force_scalar = false;
+  // Pin the kernel backend before any model work, so preparation, every
+  // server built below, every serving phase and the sgemm A/B all run the
+  // requested arithmetic. Dispatch is process-wide (kern::force_backend).
   if (kernels == "scalar") {
     (void)kern::force_backend(kern::Backend::scalar);
-    force_scalar = true;
   } else if (kernels == "avx2") {
     if (kern::force_backend(kern::Backend::avx2) != kern::Backend::avx2) {
       std::fprintf(stderr,
@@ -334,7 +330,6 @@ int main(int argc, char** argv) {
   base.server.lanes = lanes;
   base.server.max_batch = batch;
   base.server.batch_window = std::chrono::microseconds(window_us);
-  base.server.force_scalar_kernels = force_scalar;
   if (precision_name == "int8") base.server.precision = nn::Precision::int8;
 
   std::printf("Resilient serving throughput: %s (%lld params), %lld requests\n"

@@ -14,13 +14,14 @@
 // Kernels write through raw pointers (eager ops pass freshly allocated
 // Tensors, plans pass arena offsets) and never allocate.
 //
-// The hot inner loops (ReLU, bound-clamp with event counting, elementwise
-// add, bias adds, and the GEMM behind linear/conv) dispatch through the
-// runtime kernel layer (tensor/kernels/kernels.h): AVX2/FMA on hosts that
-// have it, the portable scalar backend otherwise. The elementwise kernels
-// are bit-identical across backends, so the plan-vs-eager output contract
-// is unaffected by dispatch; forcing the scalar backend (FITACT_KERNELS=
-// scalar) A/Bs the whole forward path on any host.
+// The hot inner loops (ReLU, bound-clamp with event counting, FitReLU and
+// its backward, elementwise add, bias adds, and the GEMM behind
+// linear/conv) dispatch through the runtime kernel layer
+// (tensor/kernels/kernels.h): AVX2/FMA on hosts that have it, the portable
+// scalar backend otherwise. The elementwise kernels are bit-identical
+// across backends, so the plan-vs-eager output contract is unaffected by
+// dispatch; forcing the scalar backend (FITACT_KERNELS=scalar) A/Bs the
+// whole forward path on any host.
 #pragma once
 
 #include <algorithm>
@@ -42,14 +43,6 @@ enum class ClipMode {
   zero_above,  ///< x > bound -> 0        (Clip-Act / GBReLU, paper Eq. 4)
   saturate,    ///< x > bound -> bound    (Ranger-style range restriction)
 };
-
-inline float stable_sigmoid(float x) noexcept {
-  if (x >= 0.0f) {
-    return 1.0f / (1.0f + std::exp(-x));
-  }
-  const float e = std::exp(x);
-  return e / (1.0f + e);
-}
 
 /// Maps a per-sample flat feature index to a bound index for the three
 /// supported bound extents (layer / channel / neuron).
@@ -120,25 +113,16 @@ inline std::uint64_t clipped_relu_forward(const float* x, const float* bound,
                             mode == ClipMode::saturate, o, n, count);
 }
 
-/// Trainable FitReLU forward (paper Eq. 6): y = max(0, x*sigmoid(k*(l-x))).
-/// Clamp counting fuses in exactly as for clipped_relu_forward.
+/// Trainable FitReLU forward (paper Eq. 6): y = max(0, x*sigmoid(k*(l-x))),
+/// one dispatched pass (kern::fitrelu). Clamp counting (x > l) fuses in
+/// exactly as for clipped_relu_forward.
 inline std::uint64_t fitrelu_forward(const float* x, const float* lambda,
                                      std::int64_t lambda_numel,
                                      const FeatureBroadcast& fb, float k,
                                      float* o, std::int64_t n,
                                      bool count = false) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = x[i];
-    const float li = lambda[fb.map(i % fb.feat, lambda_numel)];
-    if (count) events += xi > li;
-    if (xi <= 0.0f) {
-      o[i] = 0.0f;
-      continue;
-    }
-    o[i] = xi * stable_sigmoid(k * (li - xi));
-  }
-  return events;
+  return kern::fitrelu(x, lambda, lambda_numel, fb.feat, fb.hw, k, o, n,
+                       count);
 }
 
 // ---- linear algebra --------------------------------------------------------

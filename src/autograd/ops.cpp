@@ -38,8 +38,8 @@ float* grad_buffer(const ImplPtr& p) {
   return p->grad.data();
 }
 
-// stable_sigmoid and FeatureBroadcast live in autograd/op_kernels.h, shared
-// with the planned-execution engine (nn/plan.cpp).
+// FeatureBroadcast lives in autograd/op_kernels.h, shared with the
+// planned-execution engine (nn/plan.cpp).
 
 void check_rank(const Variable& v, std::size_t rank, const char* op) {
   if (v.shape().rank() != rank) {
@@ -569,26 +569,10 @@ Variable fitrelu(const Variable& x, const Variable& lambda, float k) {
   return Variable::from_op(
       std::move(out), {x, lambda},
       [px_impl, pl_impl, xv, lv, fb, ln, k](const Tensor& g) {
-        const float* pxv = xv.data();
-        const float* plv = lv.data();
-        const float* pg = g.data();
         float* dx = px_impl->requires_grad ? grad_buffer(px_impl) : nullptr;
         float* dl = pl_impl->requires_grad ? grad_buffer(pl_impl) : nullptr;
-        for (std::int64_t i = 0; i < g.numel(); ++i) {
-          const float xi = pxv[i];
-          if (xi <= 0.0f) continue;
-          const std::int64_t li_idx = fb.map(i % fb.feat, ln);
-          const float s = stable_sigmoid(k * (plv[li_idx] - xi));
-          const float ds = s * (1.0f - s);
-          if (dx != nullptr) {
-            // d/dx [x * s(k(l-x))] = s - k*x*s*(1-s)
-            dx[i] += pg[i] * (s - k * xi * ds);
-          }
-          if (dl != nullptr) {
-            // d/dl = k*x*s*(1-s)
-            dl[li_idx] += pg[i] * (k * xi * ds);
-          }
-        }
+        kern::fitrelu_backward(xv.data(), g.data(), lv.data(), ln, fb.feat,
+                               fb.hw, k, dx, dl, g.numel());
       });
 }
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "autograd/variable.h"
-#include "tensor/kernels/kernels.h"
 #include "tensor/tensor_ops.h"
 
 namespace fitact::serve {
@@ -47,12 +46,6 @@ InferenceServer::InferenceServer(const LaneFactory& factory,
     throw std::invalid_argument("InferenceServer: null lane factory");
   }
   options_.validate();
-  if (options_.force_scalar_kernels) {
-    // Process-wide by design (see the ServerOptions field comment); applied
-    // before lanes are built so calibration forwards in the factory and
-    // serving forwards run the same backend.
-    (void)kern::force_backend(kern::Backend::scalar);
-  }
   lanes_.reserve(options_.lanes);
   for (std::size_t i = 0; i < options_.lanes; ++i) {
     auto state = std::make_unique<LaneState>();

@@ -103,14 +103,6 @@ struct ServerOptions {
   /// plan ops, and int8 never falls back to eager (ev::make_server
   /// propagates compile failures instead of silently serving fp32).
   nn::Precision precision = nn::Precision::fp32;
-  /// Force the portable scalar kernel backend for the whole process
-  /// (kern::force_backend; see tensor/kernels/kernels.h). Kernel dispatch
-  /// is process-wide — per-lane or per-request backends would break the
-  /// bit-identity contract — so constructing a server with this set pins
-  /// every subsequent forward in the process, not just this server's, to
-  /// the scalar backend. The A/B lever benches and tests use
-  /// (serve_throughput --kernels scalar); leave false in production.
-  bool force_scalar_kernels = false;
 
   /// Throws std::invalid_argument on the first invalid field. The single
   /// error path for server shape problems.

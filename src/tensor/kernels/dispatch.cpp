@@ -6,8 +6,7 @@
 // may narrow it — a forced-scalar run on an AVX2 host is the A/B lever the
 // fuzz tests, plan tests and benches use; forcing avx2 on a host without it
 // falls back to scalar rather than faulting. force_backend() is the same
-// lever programmatically (serve::ServerOptions::force_scalar_kernels and
-// the benches' --kernels flag route through it).
+// lever programmatically (the benches' --kernels flag routes through it).
 #include "tensor/kernels/kernels.h"
 
 #include <atomic>
@@ -210,6 +209,22 @@ std::uint64_t count_over_bound(const float* x, const float* bound,
                                std::int64_t bound_numel, std::int64_t feat,
                                std::int64_t hw, std::int64_t n) noexcept {
   return active_table().count_over_bound(x, bound, bound_numel, feat, hw, n);
+}
+
+std::uint64_t fitrelu(const float* x, const float* lambda,
+                      std::int64_t lambda_numel, std::int64_t feat,
+                      std::int64_t hw, float k, float* o, std::int64_t n,
+                      bool count) noexcept {
+  return active_table().fitrelu(x, lambda, lambda_numel, feat, hw, k, o, n,
+                                count);
+}
+
+void fitrelu_backward(const float* x, const float* g, const float* lambda,
+                      std::int64_t lambda_numel, std::int64_t feat,
+                      std::int64_t hw, float k, float* dx, float* dlambda,
+                      std::int64_t n) noexcept {
+  active_table().fitrelu_backward(x, g, lambda, lambda_numel, feat, hw, k, dx,
+                                  dlambda, n);
 }
 
 std::uint64_t fused_bias_clip_cc(float* o, float bias, float bound,

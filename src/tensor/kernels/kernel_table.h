@@ -26,6 +26,17 @@ struct KernelTable {
                                     std::int64_t bound_numel,
                                     std::int64_t feat, std::int64_t hw,
                                     std::int64_t n) noexcept;
+  // FitReLU forward (same bound broadcast and counting as clipped_relu) and
+  // its post-training backward. See kernels.h for the contracts.
+  std::uint64_t (*fitrelu)(const float* x, const float* lambda,
+                           std::int64_t lambda_numel, std::int64_t feat,
+                           std::int64_t hw, float k, float* o, std::int64_t n,
+                           bool count) noexcept;
+  void (*fitrelu_backward)(const float* x, const float* g,
+                           const float* lambda, std::int64_t lambda_numel,
+                           std::int64_t feat, std::int64_t hw, float k,
+                           float* dx, float* dlambda,
+                           std::int64_t n) noexcept;
   // Fused GEMM epilogues (bias + bound-clamp + optional event count in one
   // pass over the output while it is still cache-hot): const/rowwise bias x
   // const/rowwise bound. See kernels.h for the exact per-element contract.
@@ -77,6 +88,41 @@ struct KernelTable {
                                          bool saturate, std::int64_t n,
                                          bool count) noexcept;
 };
+
+namespace {
+
+/// The bound-broadcast walk every bounded elementwise kernel shares: splits
+/// n elements of complete per-sample rows (feat features each) into the
+/// spans FeatureBroadcast's map gives one bound to, and returns the sum of
+/// the span callbacks' results.
+///   bound_numel == 1     one span over all n: span(0, n, 0)
+///   bound_numel == feat  one row at a time:   row(base, feat)
+///   otherwise (per-channel) each hw-long channel plane of each row:
+///                        span(base + f, hw, f / hw)
+/// span(offset, len, bound_index) covers elements sharing bound[bound_index];
+/// row(offset, len) covers a row whose bound is bound[0..len) elementwise.
+/// Internal linkage: the callers sit in TUs built with different ISA flags.
+template <typename Span, typename Row>
+inline std::uint64_t for_each_bound_span(std::int64_t bound_numel,
+                                         std::int64_t feat, std::int64_t hw,
+                                         std::int64_t n, const Span& span,
+                                         const Row& row) noexcept {
+  if (bound_numel == 1) return span(std::int64_t{0}, n, std::int64_t{0});
+  std::uint64_t events = 0;
+  for (std::int64_t base = 0; base < n; base += feat) {
+    const std::int64_t len = base + feat <= n ? feat : n - base;
+    if (bound_numel == feat) {
+      events += row(base, len);
+    } else {
+      for (std::int64_t f = 0; f < len; f += hw) {
+        events += span(base + f, f + hw <= len ? hw : len - f, f / hw);
+      }
+    }
+  }
+  return events;
+}
+
+}  // namespace
 
 // Int8 backend implementations live in their own translation units
 // (kernels_scalar_i8.cpp, kernels_avx2_i8.cpp) and are referenced cross-TU

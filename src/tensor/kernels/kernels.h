@@ -1,10 +1,22 @@
 // Runtime-dispatched CPU microkernels for the serving hot path.
 //
-// Every compute inner loop that serving throughput depends on — the SGEMM
-// panel kernel, ReLU / bound-clamp / bias-add elementwise passes, and the
-// clamp-event counter behind the fault detector — funnels through the entry
-// points declared here. A process-wide dispatch table binds each entry point
-// to one backend:
+// Every compute inner loop that serving throughput depends on funnels
+// through the entry points declared here:
+//
+//   gemm_panel              SGEMM inner panel behind linear/conv
+//   relu, add,              elementwise passes
+//   bias_add_row/_const
+//   clipped_relu            bound-clamp (GBReLU / Ranger / FitReLU-Naive)
+//                           with fused clamp-event counting
+//   count_over_bound        the clamp-event counter alone
+//   fitrelu,                FitReLU (paper Eq. 6) forward with fused
+//   fitrelu_backward        counting, and its post-training backward
+//   fused_bias_clip_*       bias + bound-clamp GEMM epilogues
+//   int8 path               gemm_i8_dot / gemm_i8u8_dot, quantize_i8,
+//                           quantize_hwc_i8, dequant_plane,
+//                           fused_dequant_clip_*
+//
+// A process-wide dispatch table binds each entry point to one backend:
 //
 //   scalar — portable C++ loops, the reference semantics (kernels_scalar.cpp)
 //   avx2   — AVX2/FMA vector kernels (kernels_avx2.cpp, only compiled when
@@ -21,9 +33,13 @@
 // (see BackendGuard).
 //
 // Semantics contract per backend:
-//   * Elementwise kernels (relu / clip / add / bias) are bit-identical
-//     across backends, including NaN/Inf handling and signed zeros — the
-//     vector forms mirror the scalar branch structure exactly.
+//   * Elementwise kernels (relu / clip / count / add / bias / fitrelu /
+//     fused epilogues) are bit-identical across backends, event counts
+//     included, with NaN/Inf handling and signed zeros — the vector forms
+//     mirror the scalar branch structure and operation order exactly. A NaN
+//     output is a NaN on both backends; its payload bits are not part of
+//     the contract (the compiler may commute an add's operands).
+//     elementwise_fuzz_test pins this for every fp32 entry point.
 //   * gemm_panel accumulates in a backend-specific order (the AVX2 kernel
 //     uses FMA), so backends agree only to the per-element forward-error
 //     bound gemm_fuzz_test enforces — never rely on cross-backend
@@ -169,6 +185,54 @@ std::uint64_t clipped_relu(const float* x, const float* bound,
 std::uint64_t count_over_bound(const float* x, const float* bound,
                                std::int64_t bound_numel, std::int64_t feat,
                                std::int64_t hw, std::int64_t n) noexcept;
+
+// ---- FitReLU ----------------------------------------------------------------
+//
+// The trainable activation of paper Eq. 6, y = max(0, x·σ(k(λ-x))), and its
+// post-training backward. λ broadcasts exactly as clipped_relu's bound
+// (lambda_numel = 1 | channels | feat, over complete per-sample rows).
+//
+// σ(t) = 1/(1+e^-t) is evaluated in the overflow-free form
+// e = exp(-|t|), σ = (t >= 0 ? 1 : e) / (1 + e), with exp a Cody–Waite
+// range reduction plus the degree-5 Cephes expf polynomial under explicit
+// FMAs (tensor/kernels/fitrelu_math.h). Both backends run the same
+// operations in the same order, so both kernels are bit-identical across
+// backends like every elementwise kernel here. σ is within 2.33 ulp of a
+// double-precision σ over every finite t; below FLT_MIN it returns the
+// correctly rounded denormal, and exactly 0 once t < -104. ±inf -> 0 / 1,
+// NaN -> NaN. For t >= 0 (x at or below its bound, every ReLU-dead x
+// included) no intermediate is denormal: denormal results cost x86 a
+// microcode assist per lane.
+
+/// FitReLU forward with fused clamp-event counting. Per element, with
+/// l = its broadcast λ:
+///   x <= 0 (and -0) -> +0
+///   else            -> x·σ(k·(l - x))   (k·(l - x): subtract, then
+///                                        multiply; never fused)
+/// So NaN x -> NaN, +inf x -> inf·0 = NaN, and a huge finite x (an
+/// exponent-bit fault near 3e38) -> exactly 0. Returns the number of x > l
+/// when `count` is set (NaN never counts), else 0.
+std::uint64_t fitrelu(const float* x, const float* lambda,
+                      std::int64_t lambda_numel, std::int64_t feat,
+                      std::int64_t hw, float k, float* o, std::int64_t n,
+                      bool count) noexcept;
+
+/// FitReLU backward for upstream gradient g. For every element with x > 0
+/// or NaN (x <= 0 contributes nothing, and its dx is left untouched), with
+/// s = σ(k·(l - x)) and kxds = (k·x)·(s·(1 - s)):
+///   dx[i]          += g[i]·(s - kxds)
+///   dlambda[b(i)]  += g[i]·kxds
+/// Either output may be null. dλ's accumulation order is part of the
+/// contract: per-neuron, dlambda[f] accumulates row by row. For a shared λ
+/// (the whole n at per-layer granularity, each channel plane of each row
+/// at per-channel) the span is reduced first — eight lane partials over its
+/// leading multiple of 8 (lane j takes elements j, j+8, ...), combined as
+/// ((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7)), then the rest added in order — and
+/// the span sum is added to dlambda once.
+void fitrelu_backward(const float* x, const float* g, const float* lambda,
+                      std::int64_t lambda_numel, std::int64_t feat,
+                      std::int64_t hw, float k, float* dx, float* dlambda,
+                      std::int64_t n) noexcept;
 
 // ---- fused GEMM epilogues --------------------------------------------------
 //

@@ -6,9 +6,11 @@
 //
 // Semantics: the elementwise kernels reproduce the scalar backend
 // bit-exactly (identical branch structure via ordered-quiet compares and
-// blends, so NaN/Inf/-0.0 behave the same); gemm_panel accumulates with FMA
-// in 16-column register tiles, which changes rounding relative to scalar —
-// cross-backend GEMM agreement is to forward-error bounds only
+// blends, so NaN/Inf/-0.0 behave the same; FitReLU's σ runs the same
+// operations as fitrelu_math.h, and the TU builds with -ffp-contract=off so
+// the compiler adds no FMA the scalar code lacks); gemm_panel accumulates
+// with FMA in 16-column register tiles, which changes rounding relative to
+// scalar — cross-backend GEMM agreement is to forward-error bounds only
 // (gemm_fuzz_test's per-element tolerance).
 //
 // Column invariance: every element of C, in the vector tiles, the 8-wide
@@ -25,6 +27,8 @@
 #include <cmath>
 
 #include <immintrin.h>
+
+#include "tensor/kernels/fitrelu_math.h"
 
 namespace fitact::kern {
 namespace {
@@ -220,24 +224,14 @@ std::uint64_t avx2_clipped_relu(const float* x, const float* bound,
                                 std::int64_t bound_numel, std::int64_t feat,
                                 std::int64_t hw, bool saturate, float* o,
                                 std::int64_t n, bool count) noexcept {
-  if (bound_numel == 1) {
-    return clip_span_const(x, bound[0], saturate, o, n, count);
-  }
-  std::uint64_t events = 0;
-  for (std::int64_t base = 0; base < n; base += feat) {
-    const std::int64_t row = base + feat <= n ? feat : n - base;
-    if (bound_numel == feat) {
-      events += clip_span_rowwise(x + base, bound, saturate, o + base, row,
-                                  count);
-    } else {
-      for (std::int64_t f = 0; f < row; f += hw) {
-        const std::int64_t span = f + hw <= row ? hw : row - f;
-        events += clip_span_const(x + base + f, bound[f / hw], saturate,
-                                  o + base + f, span, count);
-      }
-    }
-  }
-  return events;
+  return for_each_bound_span(
+      bound_numel, feat, hw, n,
+      [&](std::int64_t at, std::int64_t len, std::int64_t b) {
+        return clip_span_const(x + at, bound[b], saturate, o + at, len, count);
+      },
+      [&](std::int64_t at, std::int64_t len) {
+        return clip_span_rowwise(x + at, bound, saturate, o + at, len, count);
+      });
 }
 
 inline std::uint64_t count_span_const(const float* x, float bound,
@@ -265,20 +259,178 @@ std::uint64_t avx2_count_over_bound(const float* x, const float* bound,
                                     std::int64_t bound_numel,
                                     std::int64_t feat, std::int64_t hw,
                                     std::int64_t n) noexcept {
-  if (bound_numel == 1) return count_span_const(x, bound[0], n);
-  std::uint64_t events = 0;
-  for (std::int64_t base = 0; base < n; base += feat) {
-    const std::int64_t row = base + feat <= n ? feat : n - base;
-    if (bound_numel == feat) {
-      events += count_span_rowwise(x + base, bound, row);
-    } else {
-      for (std::int64_t f = 0; f < row; f += hw) {
-        const std::int64_t span = f + hw <= row ? hw : row - f;
-        events += count_span_const(x + base + f, bound[f / hw], span);
-      }
-    }
-  }
-  return events;
+  return for_each_bound_span(
+      bound_numel, feat, hw, n,
+      [&](std::int64_t at, std::int64_t len, std::int64_t b) {
+        return count_span_const(x + at, bound[b], len);
+      },
+      [&](std::int64_t at, std::int64_t len) {
+        return count_span_rowwise(x + at, bound, len);
+      });
+}
+
+// ---- FitReLU ----------------------------------------------------------------
+// fitrelu_math.h's scalar arithmetic, eight lanes at a time: the same
+// constants, the same FMAs where it has std::fma and a separate multiply
+// and add everywhere else (this TU builds with -ffp-contract=off), the same
+// operand order. Tails call the scalar functions themselves.
+
+/// exp_nonpos, lane-wise.
+inline __m256 exp_nonpos8(__m256 a, __m256 lo) noexcept {
+  const __m256 magic = _mm256_set1_ps(kRoundMagic);
+  a = _mm256_max_ps(lo, a);  // NaN passes through
+  const __m256 kf =
+      _mm256_add_ps(_mm256_mul_ps(a, _mm256_set1_ps(kLog2e)), magic);
+  const __m256 nf = _mm256_sub_ps(kf, magic);
+  __m256 r = _mm256_fmadd_ps(nf, _mm256_set1_ps(-kLn2Hi), a);
+  r = _mm256_fmadd_ps(nf, _mm256_set1_ps(-kLn2Lo), r);
+  __m256 p = _mm256_fmadd_ps(_mm256_set1_ps(kExpP5), r,
+                             _mm256_set1_ps(kExpP4));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpP3));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpP2));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpP1));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpP0));
+  p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r);
+  p = _mm256_add_ps(p, _mm256_set1_ps(1.0f));
+  // exp2_plus64(bits(kf) - magic bits): the two integer adds fold into one.
+  const __m256 scale = _mm256_castsi256_ps(_mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_castps_si256(kf),
+                       _mm256_set1_epi32(static_cast<int>(
+                           127u + 64u - kRoundMagicBits))),
+      23));
+  return _mm256_mul_ps(_mm256_mul_ps(p, scale),
+                       _mm256_set1_ps(kTwoPowMinus64));
+}
+
+/// sigmoid_poly, lane-wise: -|t| by setting the sign bit (bit-identical to
+/// -fabs), then num / (1 + e) with num = t >= 0 ? 1 : e.
+inline __m256 sigmoid8(__m256 t) noexcept {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 nonneg = _mm256_cmp_ps(t, _mm256_setzero_ps(), _CMP_GE_OQ);
+  const __m256 lo = _mm256_blendv_ps(_mm256_set1_ps(kExpLo),
+                                     _mm256_set1_ps(kExpLoNormal), nonneg);
+  const __m256 e = exp_nonpos8(_mm256_or_ps(t, _mm256_set1_ps(-0.0f)), lo);
+  return _mm256_div_ps(_mm256_blendv_ps(e, one, nonneg),
+                       _mm256_add_ps(one, e));
+}
+
+/// fitrelu_elem, lane-wise: clearing the lanes with x <= 0 leaves +0.
+inline __m256 fitrelu8(__m256 x, __m256 lambda, __m256 k) noexcept {
+  const __m256 y =
+      _mm256_mul_ps(x, sigmoid8(_mm256_mul_ps(k, _mm256_sub_ps(lambda, x))));
+  return _mm256_andnot_ps(
+      _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_LE_OQ), y);
+}
+
+std::uint64_t avx2_fitrelu(const float* x, const float* lambda,
+                           std::int64_t lambda_numel, std::int64_t feat,
+                           std::int64_t hw, float k, float* o, std::int64_t n,
+                           bool count) noexcept {
+  const __m256 kv = _mm256_set1_ps(k);
+  return for_each_bound_span(
+      lambda_numel, feat, hw, n,
+      [&](std::int64_t at, std::int64_t len, std::int64_t b) {
+        const float* xs = x + at;
+        float* os = o + at;
+        const __m256 lv = _mm256_set1_ps(lambda[b]);
+        std::uint64_t events = 0;
+        std::int64_t i = 0;
+        for (; i + 8 <= len; i += 8) {
+          const __m256 xv = _mm256_loadu_ps(xs + i);
+          if (count) events += count8(xv, lv);
+          _mm256_storeu_ps(os + i, fitrelu8(xv, lv, kv));
+        }
+        return events + fitrelu_span_const(xs, lambda[b], k, os, i, len, count);
+      },
+      [&](std::int64_t at, std::int64_t len) {
+        const float* xs = x + at;
+        float* os = o + at;
+        std::uint64_t events = 0;
+        std::int64_t i = 0;
+        for (; i + 8 <= len; i += 8) {
+          const __m256 xv = _mm256_loadu_ps(xs + i);
+          const __m256 lv = _mm256_loadu_ps(lambda + i);
+          if (count) events += count8(xv, lv);
+          _mm256_storeu_ps(os + i, fitrelu8(xv, lv, kv));
+        }
+        return events + fitrelu_span_rowwise(xs, lambda, k, os, i, len, count);
+      });
+}
+
+/// fitrelu_grad_elem, lane-wise: {dx, dλ} contributions.
+inline void fitrelu_grad8(__m256 x, __m256 lambda, __m256 k, __m256 g,
+                          __m256* gdx, __m256* gdl) noexcept {
+  const __m256 s = sigmoid8(_mm256_mul_ps(k, _mm256_sub_ps(lambda, x)));
+  const __m256 kxds = _mm256_mul_ps(
+      _mm256_mul_ps(k, x),
+      _mm256_mul_ps(s, _mm256_sub_ps(_mm256_set1_ps(1.0f), s)));
+  *gdx = _mm256_mul_ps(g, _mm256_sub_ps(s, kxds));
+  *gdl = _mm256_mul_ps(g, kxds);
+}
+
+/// acc + v where x > 0 or NaN, acc unchanged where x <= 0 (the scalar
+/// `continue`; adding a masked +0 would turn a -0 accumulator into +0).
+inline __m256 add_where_active(__m256 acc, __m256 v, __m256 le0) noexcept {
+  return _mm256_blendv_ps(_mm256_add_ps(acc, v), acc, le0);
+}
+
+void avx2_fitrelu_backward(const float* x, const float* g,
+                           const float* lambda, std::int64_t lambda_numel,
+                           std::int64_t feat, std::int64_t hw, float k,
+                           float* dx, float* dlambda,
+                           std::int64_t n) noexcept {
+  const __m256 kv = _mm256_set1_ps(k);
+  const __m256 zero = _mm256_setzero_ps();
+  (void)for_each_bound_span(
+      lambda_numel, feat, hw, n,
+      [&](std::int64_t at, std::int64_t len, std::int64_t b) {
+        const __m256 lv = _mm256_set1_ps(lambda[b]);
+        __m256 acc = zero;
+        std::int64_t i = at;
+        for (; i + 8 <= at + len; i += 8) {
+          const __m256 xv = _mm256_loadu_ps(x + i);
+          const __m256 le0 = _mm256_cmp_ps(xv, zero, _CMP_LE_OQ);
+          __m256 gdx;
+          __m256 gdl;
+          fitrelu_grad8(xv, lv, kv, _mm256_loadu_ps(g + i), &gdx, &gdl);
+          if (dx != nullptr) {
+            _mm256_storeu_ps(
+                dx + i, add_where_active(_mm256_loadu_ps(dx + i), gdx, le0));
+          }
+          acc = add_where_active(acc, gdl, le0);
+        }
+        alignas(32) float lane[8];
+        _mm256_store_ps(lane, acc);
+        const float sum = fitrelu_grad_span_const(x, g, lambda[b], k, dx, i,
+                                                  at + len, reduce_lanes(lane));
+        if (dlambda != nullptr) dlambda[b] += sum;
+        return std::uint64_t{0};
+      },
+      [&](std::int64_t at, std::int64_t len) {
+        const float* xs = x + at;
+        const float* gs = g + at;
+        float* dxs = dx != nullptr ? dx + at : nullptr;
+        std::int64_t i = 0;
+        for (; i + 8 <= len; i += 8) {
+          const __m256 xv = _mm256_loadu_ps(xs + i);
+          const __m256 le0 = _mm256_cmp_ps(xv, zero, _CMP_LE_OQ);
+          __m256 gdx;
+          __m256 gdl;
+          fitrelu_grad8(xv, _mm256_loadu_ps(lambda + i), kv,
+                        _mm256_loadu_ps(gs + i), &gdx, &gdl);
+          if (dxs != nullptr) {
+            _mm256_storeu_ps(
+                dxs + i, add_where_active(_mm256_loadu_ps(dxs + i), gdx, le0));
+          }
+          if (dlambda != nullptr) {
+            _mm256_storeu_ps(dlambda + i,
+                             add_where_active(_mm256_loadu_ps(dlambda + i), gdl,
+                                              le0));
+          }
+        }
+        fitrelu_grad_span_rowwise(xs, gs, lambda, k, dxs, dlambda, i, len);
+        return std::uint64_t{0};
+      });
 }
 
 // ---- fused GEMM epilogues --------------------------------------------------
@@ -385,6 +537,8 @@ const KernelTable& avx2_table() noexcept {
       avx2_add,           avx2_bias_add_row,
       avx2_bias_add_const, avx2_clipped_relu,
       avx2_count_over_bound,
+      avx2_fitrelu,
+      avx2_fitrelu_backward,
       avx2_fused_bias_clip_cc,
       avx2_fused_bias_clip_cr,
       avx2_fused_bias_clip_rc,

@@ -7,6 +7,8 @@
 // values injected hardware faults produce; gemm_fuzz_test now pins this).
 #include "tensor/kernels/kernel_table.h"
 
+#include "tensor/kernels/fitrelu_math.h"
+
 namespace fitact::kern {
 namespace {
 
@@ -95,26 +97,14 @@ std::uint64_t scalar_clipped_relu(const float* x, const float* bound,
                                   std::int64_t bound_numel, std::int64_t feat,
                                   std::int64_t hw, bool saturate, float* o,
                                   std::int64_t n, bool count) noexcept {
-  std::uint64_t events = 0;
-  if (bound_numel == 1) {
-    return clip_span_const(x, bound[0], saturate, o, n, count);
-  }
-  // Walk whole per-sample rows; inside a row the bound broadcast is either
-  // elementwise (per-neuron) or constant over hw-length channel spans.
-  for (std::int64_t base = 0; base < n; base += feat) {
-    const std::int64_t row = base + feat <= n ? feat : n - base;
-    if (bound_numel == feat) {
-      events += clip_span_rowwise(x + base, bound, saturate, o + base, row,
-                                  count);
-    } else {  // per-channel: bound index = fi / hw
-      for (std::int64_t f = 0; f < row; f += hw) {
-        const std::int64_t span = f + hw <= row ? hw : row - f;
-        events += clip_span_const(x + base + f, bound[f / hw], saturate,
-                                  o + base + f, span, count);
-      }
-    }
-  }
-  return events;
+  return for_each_bound_span(
+      bound_numel, feat, hw, n,
+      [&](std::int64_t at, std::int64_t len, std::int64_t b) {
+        return clip_span_const(x + at, bound[b], saturate, o + at, len, count);
+      },
+      [&](std::int64_t at, std::int64_t len) {
+        return clip_span_rowwise(x + at, bound, saturate, o + at, len, count);
+      });
 }
 
 /// Count-only spans mirroring clip_span_*: events += x > bound.
@@ -136,20 +126,64 @@ std::uint64_t scalar_count_over_bound(const float* x, const float* bound,
                                       std::int64_t bound_numel,
                                       std::int64_t feat, std::int64_t hw,
                                       std::int64_t n) noexcept {
-  if (bound_numel == 1) return count_span_const(x, bound[0], n);
-  std::uint64_t events = 0;
-  for (std::int64_t base = 0; base < n; base += feat) {
-    const std::int64_t row = base + feat <= n ? feat : n - base;
-    if (bound_numel == feat) {
-      events += count_span_rowwise(x + base, bound, row);
-    } else {
-      for (std::int64_t f = 0; f < row; f += hw) {
-        const std::int64_t span = f + hw <= row ? hw : row - f;
-        events += count_span_const(x + base + f, bound[f / hw], span);
-      }
-    }
-  }
-  return events;
+  return for_each_bound_span(
+      bound_numel, feat, hw, n,
+      [&](std::int64_t at, std::int64_t len, std::int64_t b) {
+        return count_span_const(x + at, bound[b], len);
+      },
+      [&](std::int64_t at, std::int64_t len) {
+        return count_span_rowwise(x + at, bound, len);
+      });
+}
+
+// FitReLU: the element loops are fitrelu_math.h's, shared with the AVX2
+// tails; the AVX2 lanes reproduce them operation for operation.
+
+std::uint64_t scalar_fitrelu(const float* x, const float* lambda,
+                             std::int64_t lambda_numel, std::int64_t feat,
+                             std::int64_t hw, float k, float* o,
+                             std::int64_t n, bool count) noexcept {
+  return for_each_bound_span(
+      lambda_numel, feat, hw, n,
+      [&](std::int64_t at, std::int64_t len, std::int64_t b) {
+        return fitrelu_span_const(x + at, lambda[b], k, o + at, 0, len, count);
+      },
+      [&](std::int64_t at, std::int64_t len) {
+        return fitrelu_span_rowwise(x + at, lambda, k, o + at, 0, len, count);
+      });
+}
+
+void scalar_fitrelu_backward(const float* x, const float* g,
+                             const float* lambda, std::int64_t lambda_numel,
+                             std::int64_t feat, std::int64_t hw, float k,
+                             float* dx, float* dlambda,
+                             std::int64_t n) noexcept {
+  (void)for_each_bound_span(
+      lambda_numel, feat, hw, n,
+      [&](std::int64_t at, std::int64_t len, std::int64_t b) {
+        // kernels.h's dλ order: eight lane partials over the whole 8-blocks
+        // (lane j takes elements j, j+8, ...), their fixed combine, then
+        // the tail in order.
+        const float l = lambda[b];
+        float lane[8] = {};
+        const std::int64_t len8 = len & ~std::int64_t{7};
+        for (std::int64_t i = at; i < at + len8; ++i) {
+          if (x[i] <= 0.0f) continue;
+          const FitReluGrad d = fitrelu_grad_elem(x[i], l, k, g[i]);
+          if (dx != nullptr) dx[i] += d.dx;
+          lane[(i - at) & 7] += d.dl;
+        }
+        const float sum = fitrelu_grad_span_const(x, g, l, k, dx, at + len8,
+                                                  at + len, reduce_lanes(lane));
+        if (dlambda != nullptr) dlambda[b] += sum;
+        return std::uint64_t{0};
+      },
+      [&](std::int64_t at, std::int64_t len) {
+        fitrelu_grad_span_rowwise(x + at, g + at, lambda, k,
+                                  dx != nullptr ? dx + at : nullptr, dlambda,
+                                  0, len);
+        return std::uint64_t{0};
+      });
 }
 
 // Fused GEMM epilogues: the bias add and the clamp are the same float ops
@@ -241,6 +275,8 @@ const KernelTable& scalar_table() noexcept {
       scalar_add,           scalar_bias_add_row,
       scalar_bias_add_const, scalar_clipped_relu,
       scalar_count_over_bound,
+      scalar_fitrelu,
+      scalar_fitrelu_backward,
       scalar_fused_bias_clip_cc,
       scalar_fused_bias_clip_cr,
       scalar_fused_bias_clip_rc,

@@ -9,6 +9,7 @@
 
 #include "autograd/ops.h"
 #include "autograd/variable.h"
+#include "tensor/kernels/kernels.h"
 #include "util/rng.h"
 
 namespace fitact {
@@ -174,49 +175,70 @@ TEST(GradCheck, ReluAwayFromKink) {
       [&](Variable& v) { return ag::sum_of_squares(ag::relu(v)); }, x);
 }
 
+// FitReLU's forward and backward are dispatched kernels (kern::fitrelu,
+// kern::fitrelu_backward), so its gradients are checked under the scalar
+// backend and, where the host has it, AVX2.
+void for_each_backend(const std::function<void()>& check) {
+  for (const kern::Backend backend :
+       {kern::Backend::scalar,
+        kern::avx2_supported() ? kern::Backend::avx2 : kern::Backend::scalar}) {
+    SCOPED_TRACE(kern::backend_name(backend));
+    const kern::BackendGuard guard(backend);
+    check();
+  }
+}
+
 TEST(GradCheck, FitReluWrtInput) {
-  ut::Rng rng(13);
-  Tensor x = Tensor::rand_uniform(Shape{2, 6}, rng, 0.3f, 3.0f);
-  const Tensor lambda = Tensor::rand_uniform(Shape{6}, rng, 0.5f, 2.5f);
-  expect_gradcheck(
-      [&](Variable& v) {
-        Variable l(lambda, false);
-        return ag::sum_of_squares(ag::fitrelu(v, l, 3.0f));
-      },
-      x);
+  for_each_backend([] {
+    ut::Rng rng(13);
+    Tensor x = Tensor::rand_uniform(Shape{2, 6}, rng, 0.3f, 3.0f);
+    const Tensor lambda = Tensor::rand_uniform(Shape{6}, rng, 0.5f, 2.5f);
+    expect_gradcheck(
+        [&](Variable& v) {
+          Variable l(lambda, false);
+          return ag::sum_of_squares(ag::fitrelu(v, l, 3.0f));
+        },
+        x);
+  });
 }
 
 TEST(GradCheck, FitReluWrtLambdaPerNeuron) {
-  ut::Rng rng(14);
-  const Tensor x = Tensor::rand_uniform(Shape{3, 5}, rng, 0.2f, 3.0f);
-  expect_gradcheck(
-      [&](Variable& l) {
-        Variable vx(x, false);
-        return ag::sum_of_squares(ag::fitrelu(vx, l, 3.0f));
-      },
-      Tensor::rand_uniform(Shape{5}, rng, 0.5f, 2.5f));
+  for_each_backend([] {
+    ut::Rng rng(14);
+    const Tensor x = Tensor::rand_uniform(Shape{3, 5}, rng, 0.2f, 3.0f);
+    expect_gradcheck(
+        [&](Variable& l) {
+          Variable vx(x, false);
+          return ag::sum_of_squares(ag::fitrelu(vx, l, 3.0f));
+        },
+        Tensor::rand_uniform(Shape{5}, rng, 0.5f, 2.5f));
+  });
 }
 
 TEST(GradCheck, FitReluWrtLambdaPerChannel4d) {
-  ut::Rng rng(15);
-  const Tensor x = Tensor::rand_uniform(Shape{2, 3, 2, 2}, rng, 0.2f, 3.0f);
-  expect_gradcheck(
-      [&](Variable& l) {
-        Variable vx(x, false);
-        return ag::sum_of_squares(ag::fitrelu(vx, l, 3.0f));
-      },
-      Tensor::rand_uniform(Shape{3}, rng, 0.5f, 2.5f));
+  for_each_backend([] {
+    ut::Rng rng(15);
+    const Tensor x = Tensor::rand_uniform(Shape{2, 3, 2, 2}, rng, 0.2f, 3.0f);
+    expect_gradcheck(
+        [&](Variable& l) {
+          Variable vx(x, false);
+          return ag::sum_of_squares(ag::fitrelu(vx, l, 3.0f));
+        },
+        Tensor::rand_uniform(Shape{3}, rng, 0.5f, 2.5f));
+  });
 }
 
 TEST(GradCheck, FitReluWrtLambdaPerLayer) {
-  ut::Rng rng(16);
-  const Tensor x = Tensor::rand_uniform(Shape{2, 4}, rng, 0.2f, 3.0f);
-  expect_gradcheck(
-      [&](Variable& l) {
-        Variable vx(x, false);
-        return ag::sum_of_squares(ag::fitrelu(vx, l, 3.0f));
-      },
-      Tensor::rand_uniform(Shape{1}, rng, 0.5f, 2.5f));
+  for_each_backend([] {
+    ut::Rng rng(16);
+    const Tensor x = Tensor::rand_uniform(Shape{2, 4}, rng, 0.2f, 3.0f);
+    expect_gradcheck(
+        [&](Variable& l) {
+          Variable vx(x, false);
+          return ag::sum_of_squares(ag::fitrelu(vx, l, 3.0f));
+        },
+        Tensor::rand_uniform(Shape{1}, rng, 0.5f, 2.5f));
+  });
 }
 
 TEST(GradCheck, SoftmaxCrossEntropy) {

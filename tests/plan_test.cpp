@@ -764,28 +764,42 @@ TEST(PlanServe, PlannedLanesMatchEagerLanesBitForBit) {
 // its 2x2-output convs, which run out of the compile-time scratch block;
 // resnet50 adds the residual tails and projections, in fp32 and in int8.
 TEST(PlanAllocations, SteadyStateExecuteDoesNotTouchTheHeap) {
-  const std::pair<const char*, nn::Precision> cases[] = {
-      {"tinycnn", nn::Precision::fp32},
-      {"vgg16", nn::Precision::fp32},
-      {"resnet50", nn::Precision::fp32},
-      {"resnet50", nn::Precision::int8}};
-  for (const auto& [name, precision] : cases) {
-    const auto model = zoo_model(name, core::Scheme::clip_act, 11);
-    ut::Rng rng(5);
-    const Tensor x = Tensor::randn(Shape{4, 3, 32, 32}, rng);
-    const auto plan = nn::InferencePlan::compile(
-        model, Shape{3, 32, 32}, 4, /*fuse=*/true, precision, max_abs(x));
-    std::memcpy(plan->input_view(4).data(), x.data(),
-                sizeof(float) * static_cast<std::size_t>(x.numel()));
-    (void)plan->execute(4);
-    (void)plan->execute(4);
-    const std::uint64_t before =
-        g_alloc_count.load(std::memory_order_relaxed);
-    for (int i = 0; i < 8; ++i) (void)plan->execute(4);
-    const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << name << (precision == nn::Precision::int8 ? " int8" : " fp32")
-        << ": steady-state execute allocated " << (after - before) << " times";
+  struct Case {
+    const char* name;
+    core::Scheme scheme;
+    nn::Precision precision;
+  };
+  const Case cases[] = {
+      {"tinycnn", core::Scheme::clip_act, nn::Precision::fp32},
+      {"vgg16", core::Scheme::clip_act, nn::Precision::fp32},
+      {"vgg16", core::Scheme::fitrelu, nn::Precision::fp32},
+      {"resnet50", core::Scheme::clip_act, nn::Precision::fp32},
+      {"resnet50", core::Scheme::clip_act, nn::Precision::int8}};
+  for (const kern::Backend backend :
+       {kern::Backend::scalar,
+        kern::avx2_supported() ? kern::Backend::avx2 : kern::Backend::scalar}) {
+    const kern::BackendGuard guard(backend);
+    for (const auto& [name, scheme, precision] : cases) {
+      const auto model = zoo_model(name, scheme, 11);
+      ut::Rng rng(5);
+      const Tensor x = Tensor::randn(Shape{4, 3, 32, 32}, rng);
+      const auto plan = nn::InferencePlan::compile(
+          model, Shape{3, 32, 32}, 4, /*fuse=*/true, precision, max_abs(x));
+      std::memcpy(plan->input_view(4).data(), x.data(),
+                  sizeof(float) * static_cast<std::size_t>(x.numel()));
+      (void)plan->execute(4);
+      (void)plan->execute(4);
+      const std::uint64_t before =
+          g_alloc_count.load(std::memory_order_relaxed);
+      for (int i = 0; i < 8; ++i) (void)plan->execute(4);
+      const std::uint64_t after =
+          g_alloc_count.load(std::memory_order_relaxed);
+      EXPECT_EQ(after - before, 0u)
+          << name << " " << core::to_string(scheme)
+          << (precision == nn::Precision::int8 ? " int8" : " fp32") << " "
+          << kern::backend_name(backend) << ": steady-state execute allocated "
+          << (after - before) << " times";
+    }
   }
 }
 #endif  // FITACT_COUNT_ALLOCS
@@ -944,27 +958,6 @@ TEST(PlanServe, Int8LanesDetectAndRecoverFromQuantizedWeightCorruption) {
   const serve::ServerStats stats = server->stats();
   EXPECT_GT(stats.detections, detections_before);
   EXPECT_GT(stats.recoveries, 0u);
-}
-
-// The force_scalar_kernels knob must take effect during construction —
-// before any lane forward — and is process-wide by design (the guard
-// restores the ambient backend for the rest of the suite).
-TEST(ServerOptions, ForceScalarKernelsPinsTheProcessBackend) {
-  const kern::BackendGuard restore(kern::active_backend());
-  const auto model = zoo_model("tinycnn", core::Scheme::relu, 41);
-  serve::ServerOptions o;
-  o.lanes = 1;
-  o.detection = false;
-  o.force_scalar_kernels = true;
-  const serve::InferenceServer server(
-      [&](std::size_t) {
-        serve::Lane lane;
-        lane.model = model;
-        lane.image = std::make_shared<quant::ParamImage>(*model);
-        return lane;
-      },
-      o);
-  EXPECT_EQ(kern::active_backend(), kern::Backend::scalar);
 }
 
 }  // namespace
