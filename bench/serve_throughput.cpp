@@ -10,16 +10,17 @@
 //   3. batched  — the server at the configured batch size and lane count,
 //                 all requests in flight at once (micro-batched serving).
 // The headline number is batched/single throughput — what micro-batching
-// buys. The batched phase runs three times — the recorded-plan execution
-// path with the fusion pass (the default), plans with fusion disabled,
-// and plans disabled entirely (eager per-op tensor allocation) — and
-// counts global operator new calls per request; the planned/eager
-// throughput ratio, the plan-level fused/unfused execute ratio
-// (fuse_speedup, measured directly so serving-layer jitter cannot swamp
-// it), and the allocation counts land in the CSV as the CI bench-smoke
-// artifact. Latency columns
-// (p50/p95/p99) all go through ut::percentile's ceil nearest-rank form. A final phase replays the batched
-// load while periodically corrupting a lane's live parameters
+// buys. The batched phase counts global operator new calls per request.
+// The server has one execution path, the recorded plan, so the two A/Bs
+// against it are timed on one replica at the forward level, where
+// serving-layer jitter cannot swamp them: plan_speedup is plan->execute
+// against the eager Module::forward over the request pool cut into
+// batches (the eager side is the batched_eager row and also counts its
+// allocations per request), and fuse_speedup is fused against unfused
+// plan execute. Both ratios and the allocation counts land in the CSV as
+// the CI bench-smoke artifact. Latency columns (p50/p95/p99) all go
+// through ut::percentile's ceil nearest-rank form. A final phase replays
+// the batched load while periodically corrupting a lane's live parameters
 // (deterministic bit flips at a high integer bit) and reports detection
 // coverage: how many injections the clamp-rate detector caught, and how
 // many requests were answered with outputs that differ from the clean
@@ -159,12 +160,83 @@ double measure_sgemm_speedup(std::int64_t n, double* scalar_ms_out,
   return active_ms > 0.0 ? scalar_ms / active_ms : 0.0;
 }
 
-// Fused-epilogue A/B on the served model, measured at the plan level. The
-// batched serving phases run through queues and futures whose scheduling
-// jitter (several percent at smoke scale) swamps the epilogue win, so —
-// like the sgemm A/B above — the archived single-number ratio times
-// plan->execute directly: identical input, identical backend, best-of-reps
-// wall time per variant.
+// Planned-vs-eager A/B on one replica lane: the request pool, cut into
+// batches of `batch`, runs through the eager Module::forward and through
+// plan->execute (staging included) — identical batches, identical backend,
+// interleaved best-of-three per side. It is timed at the forward level
+// because the serving phases' queue and future scheduling jitter (several
+// percent at smoke scale) would swamp the ratio. Per request, latency is
+// the latency of its batch. Both reports count heap allocations per
+// request.
+struct ForwardAB {
+  PhaseReport eager;
+  PhaseReport planned;
+};
+
+ForwardAB measure_plan_vs_eager(fitact::ev::PreparedModel& pm,
+                                const std::vector<fitact::Tensor>& samples,
+                                std::int64_t batch) {
+  using namespace fitact;
+  const serve::Lane lane = ev::make_lane(pm, ev::replicate_model(pm), batch);
+  const Shape& ss = lane.plan->sample_shape();
+  std::vector<Tensor> batches;
+  for (std::size_t i = 0; i < samples.size();
+       i += static_cast<std::size_t>(batch)) {
+    const std::int64_t b = std::min<std::int64_t>(
+        batch, static_cast<std::int64_t>(samples.size() - i));
+    Tensor x(Shape{b, ss[0], ss[1], ss[2]});
+    for (std::int64_t j = 0; j < b; ++j) {
+      std::memcpy(x.data() + j * ss.numel(),
+                  samples[i + static_cast<std::size_t>(j)].data(),
+                  sizeof(float) * static_cast<std::size_t>(ss.numel()));
+    }
+    batches.push_back(std::move(x));
+  }
+  const NoGradGuard no_grad;
+  const auto run = [&](bool planned) {
+    std::vector<double> latencies;
+    latencies.reserve(samples.size());
+    const std::uint64_t allocs_before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    ut::Timer wall;
+    for (const Tensor& x : batches) {
+      const std::int64_t b = x.shape()[0];
+      ut::Timer t;
+      if (planned) {
+        std::memcpy(lane.plan->input_view(b).data(), x.data(),
+                    sizeof(float) * static_cast<std::size_t>(x.numel()));
+        (void)lane.plan->execute(b);
+      } else {
+        (void)lane.model->forward(Variable(x));
+      }
+      latencies.insert(latencies.end(), static_cast<std::size_t>(b),
+                       t.elapsed_ms());
+    }
+    const double wall_ms = wall.elapsed_ms();
+    const std::uint64_t allocs =
+        g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+    PhaseReport r = summarize(wall_ms, std::move(latencies));
+    r.allocs_per_req =
+        static_cast<double>(allocs) / static_cast<double>(samples.size());
+    return r;
+  };
+  (void)run(true);  // one-time lazy costs (pack buffers) on both paths
+  (void)run(false);
+  ForwardAB best{run(false), run(true)};
+  for (int rep = 1; rep < 3; ++rep) {
+    PhaseReport eager = run(false);
+    if (eager.req_per_s > best.eager.req_per_s) best.eager = std::move(eager);
+    PhaseReport planned = run(true);
+    if (planned.req_per_s > best.planned.req_per_s) {
+      best.planned = std::move(planned);
+    }
+  }
+  return best;
+}
+
+// Fused-epilogue A/B on the served model, measured at the plan level like
+// the planned-vs-eager A/B above: plan->execute directly, identical input,
+// identical backend, best-of-reps wall time per variant.
 double measure_fuse_speedup(const std::shared_ptr<fitact::nn::Module>& model,
                             const fitact::Shape& sample_shape,
                             std::int64_t batch, double* unfused_ms_out,
@@ -380,12 +452,10 @@ int main(int argc, char** argv) {
     single = summarize(wall.elapsed_ms(), std::move(latencies));
   }
 
-  // Phase 3: micro-batched serving — everything in flight at once. Run on
-  // both execution paths: recorded plans (default) and eager forward
-  // (options.server.plan = false). Each run counts heap allocations per
-  // request; the count covers the whole serving layer (futures, queue
-  // nodes), so the planned path is small-but-nonzero while the eager path
-  // adds every per-op tensor allocation on top.
+  // Phase 3: micro-batched serving — everything in flight at once. Each run
+  // counts heap allocations per request; the count covers the whole
+  // serving layer (request copies, futures, queue nodes), not just the
+  // plan, whose steady-state execute allocates nothing.
   const auto run_batched = [&](const ev::ServeOptions& options,
                                std::vector<std::int64_t>* preds) {
     const auto server = ev::make_server(pm, options);
@@ -447,21 +517,11 @@ int main(int argc, char** argv) {
     return best;
   };
   const PhaseReport batched = run_batched_best(base);
-  // The eager and unfused A/B phases only exist as fp32 configurations —
-  // quantization converts fused plan ops, so there is no eager or unfused
-  // int8 path (ServerOptions::validate rejects the combination). Under
-  // --precision int8 they drop back to fp32 and keep measuring what
-  // planning/fusion buy the full-precision path.
-  ev::ServeOptions eager_options = base;
-  eager_options.server.plan = false;
-  eager_options.server.precision = nn::Precision::fp32;
-  const PhaseReport eager_batched = run_batched_best(eager_options);
-  // Fusion A/B: same planned path, fusion pass disabled — isolates what the
-  // fused conv/linear+clamp epilogues buy over plain planned execution.
-  ev::ServeOptions unfused_options = base;
-  unfused_options.server.fuse = false;
-  unfused_options.server.precision = nn::Precision::fp32;
-  const PhaseReport unfused_batched = run_batched_best(unfused_options);
+  // Planned-vs-eager A/B at the forward level. Eager has no int8 form, so
+  // under --precision int8 it keeps measuring what planning buys the
+  // full-precision path.
+  const ForwardAB forward_ab = measure_plan_vs_eager(pm, samples, batch);
+  const PhaseReport& eager_batched = forward_ab.eager;
   // Int8 A/B: the batched phase again with lane plans quantized — same
   // lanes, same batching, the arithmetic is the only variable. Predictions
   // are collected so the throughput win is priced against its top-1 cost.
@@ -504,7 +564,7 @@ int main(int argc, char** argv) {
           // a +/-64 magnitude change, the loud corruption the clamp-rate
           // detector exists for.
           server->with_lane(lane, [&](serve::Lane& l) {
-            if (!l.plan || l.plan->int8_op_count() == 0) return;
+            if (l.plan->int8_op_count() == 0) return;
             for (std::uint64_t f = 0; f < flips; ++f) {
               const std::size_t op = static_cast<std::size_t>(
                   inj_rng.next_below(l.plan->int8_op_count()));
@@ -589,18 +649,19 @@ int main(int argc, char** argv) {
   };
   row("direct forward", direct, true);
   row("server, single-request", single, true);
-  row("server, micro-batched (planned)", batched, true);
-  row("server, micro-batched (unfused)", unfused_batched, true);
-  row("server, micro-batched (eager)", eager_batched, true);
+  row("server, micro-batched", batched, true);
+  row("eager forward, batches", eager_batched, true);
+  row("plan execute, batches", forward_ab.planned, true);
   if (int8_capable) row("server, micro-batched (int8)", int8_batched, true);
   row("micro-batched + injection", injected, false);
   table.print();
 
-  const double plan_speedup = eager_batched.req_per_s > 0.0
-                                  ? batched.req_per_s / eager_batched.req_per_s
-                                  : 0.0;
+  const double plan_speedup =
+      eager_batched.req_per_s > 0.0
+          ? forward_ab.planned.req_per_s / eager_batched.req_per_s
+          : 0.0;
   // Plan-level fused/unfused ratio on the served model (see
-  // measure_fuse_speedup for why this is not derived from the phases).
+  // measure_plan_vs_eager for why this is not derived from the phases).
   const Shape request_shape = samples.front().shape();
   double fuse_unfused_ms = 0.0;
   double fuse_fused_ms = 0.0;
@@ -609,10 +670,10 @@ int main(int argc, char** argv) {
       batch, &fuse_unfused_ms, &fuse_fused_ms);
   std::printf("\nmicrobatch_speedup: %.2fx (batched vs single-request)\n",
               speedup);
-  std::printf("plan_speedup: %.2fx (planned vs eager micro-batched); "
-              "allocs/request planned %.1f, eager %.1f\n",
-              plan_speedup, batched.allocs_per_req,
-              eager_batched.allocs_per_req);
+  std::printf("plan_speedup: %.2fx (plan execute vs eager forward at batch "
+              "%lld); allocs/request served %.1f, eager forward %.1f\n",
+              plan_speedup, static_cast<long long>(batch),
+              batched.allocs_per_req, eager_batched.allocs_per_req);
   std::printf("fuse_speedup: %.2fx (plan execute at batch %lld, "
               "unfused %.2f ms vs fused %.2f ms)\n",
               fuse_speedup, static_cast<long long>(batch), fuse_unfused_ms,
@@ -655,7 +716,6 @@ int main(int argc, char** argv) {
   csv_row("direct", direct, true);
   csv_row("single", single, true);
   csv_row("batched", batched, true);
-  csv_row("batched_unfused", unfused_batched, true);
   csv_row("batched_eager", eager_batched, true);
   if (int8_capable) csv_row("batched_int8", int8_batched, true);
   // Per-request latency is not measured in the closed-loop injection phase.
@@ -666,6 +726,7 @@ int main(int argc, char** argv) {
   csv.row({"fuse_speedup", ut::CsvWriter::num(fuse_speedup),
            ut::CsvWriter::num(fuse_unfused_ms),
            ut::CsvWriter::num(fuse_fused_ms), "", "", ""});
+  // Served (whole front end, planned lanes) and eager-forward-only counts.
   csv.row({"allocs_per_request", ut::CsvWriter::num(batched.allocs_per_req),
            ut::CsvWriter::num(eager_batched.allocs_per_req), "", "", "", ""});
   // Always present so the CI greps fail loudly if the int8 phase ever

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/bound_profiler.h"
 #include "data/cifar_binary.h"
@@ -209,40 +210,61 @@ std::shared_ptr<nn::Module> replicate_model(const PreparedModel& pm) {
   return replica;
 }
 
+serve::Lane make_lane(const PreparedModel& pm,
+                      std::shared_ptr<nn::Module> model,
+                      std::int64_t max_batch, nn::Precision precision,
+                      float input_range) {
+  if (!pm.test || pm.test->size() == 0) {
+    throw std::invalid_argument(
+        "make_lane: prepared model has no test split to fix the plan's "
+        "sample shape");
+  }
+  const Shape s = pm.test->batch(0, 1, nullptr).shape();
+  // Recording requires eval mode (BatchNorm's plan op is the eval-mode
+  // affine map).
+  model->set_training(false);
+  serve::Lane lane;
+  lane.image = std::make_shared<quant::ParamImage>(*model);
+  lane.plan = nn::InferencePlan::compile(model, Shape{s[1], s[2], s[3]},
+                                         max_batch, /*fuse=*/true, precision,
+                                         input_range);
+  lane.model = std::move(model);
+  return lane;
+}
+
 fault::WorkerFactory make_campaign_worker_factory(PreparedModel& pm,
                                                   const EvalConfig& ec) {
-  struct Lane {
-    std::shared_ptr<nn::Module> model;
-    std::unique_ptr<quant::ParamImage> image;
-    std::unique_ptr<fault::Injector> injector;
+  struct CampaignLane {
+    explicit CampaignLane(serve::Lane l)
+        : lane(std::move(l)), injector(*lane.image) {}
+    serve::Lane lane;
+    fault::Injector injector;
   };
   const std::shared_ptr<data::Dataset> test = pm.test;
-  return [&pm, test, ec](std::size_t lane) {
-    auto ctx = std::make_shared<Lane>();
-    ctx->model = lane == 0 ? pm.model : replicate_model(pm);
-    ctx->image =
-        std::make_unique<quant::ParamImage>(*ctx->model,
-                                            /*include_buffers=*/false);
-    ctx->injector = std::make_unique<fault::Injector>(*ctx->image);
+  return [&pm, test, ec](std::size_t index) {
+    auto ctx = std::make_shared<CampaignLane>(make_lane(
+        pm, index == 0 ? pm.model : replicate_model(pm), ec.batch_size));
     fault::CampaignWorker w;
     w.keepalive = ctx;
-    w.injector = ctx->injector.get();
+    w.injector = &ctx->injector;
     w.evaluate = [ctx, test, ec] {
-      return evaluate_accuracy(*ctx->model, *test, ec);
+      return evaluate_accuracy(*ctx->lane.plan, *test, ec);
     };
-    w.sync = [ctx, &pm](bool source_changed) {
-      if (source_changed && ctx->model != pm.model) {
-        // Re-protection may have changed schemes, bound extents, or (after
-        // post-training) parameter values on the source; carry all of it
-        // over before re-snapshotting. Lane 0 wraps the source itself.
-        core::replicate_protection(*pm.model, *ctx->model);
-        nn::copy_state(*pm.model, *ctx->model);
-        ctx->model->set_training(false);
+    w.sync = [ctx, &pm, ec](bool source_changed) {
+      const std::shared_ptr<nn::Module> model = ctx->lane.model;
+      if (!source_changed) {
+        ctx->lane.image->refresh();
+        return;
       }
-      // refresh() re-walks the parameter tree, so replaced bound storage is
-      // picked up; the injector re-reads the image every trial and needs no
-      // rebuild.
-      ctx->image->refresh();
+      // Re-protection may have changed schemes, bound extents, or (after
+      // post-training) parameter values on the source; carry all of it
+      // over, then rebuild image and plan so nothing the plan fixed at
+      // compile time goes stale. Lane 0 wraps the source itself.
+      if (model != pm.model) {
+        core::replicate_protection(*pm.model, *model);
+        nn::copy_state(*pm.model, *model);
+      }
+      *ctx = CampaignLane(make_lane(pm, model, ec.batch_size));
     };
     return w;
   };

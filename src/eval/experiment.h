@@ -22,6 +22,7 @@
 #include "fault/campaign.h"
 #include "models/model_config.h"
 #include "nn/module.h"
+#include "serve/server.h"
 
 namespace fitact::ev {
 
@@ -114,15 +115,26 @@ ProtectReport protect_model(PreparedModel& pm, core::Scheme scheme,
 [[nodiscard]] std::shared_ptr<nn::Module> replicate_model(
     const PreparedModel& pm);
 
+/// The lane builder behind make_server and make_campaign_worker_factory:
+/// `model` (a replica, or pm.model for campaign lane 0) in eval mode, a clean
+/// ParamImage of it, and its plan (nn::InferencePlan::compile) for pm.test's
+/// sample shape. Throws std::invalid_argument without a non-empty test split
+/// and nn::PlanError when the model cannot be recorded.
+[[nodiscard]] serve::Lane make_lane(
+    const PreparedModel& pm, std::shared_ptr<nn::Module> model,
+    std::int64_t max_batch, nn::Precision precision = nn::Precision::fp32,
+    float input_range = -1.0f);
+
 /// Campaign worker factory over the prepared model: lane 0 injects into
 /// pm.model itself (and leaves it restored), every other lane gets its own
-/// replica + parameter image + injector; all lanes evaluate accuracy on
-/// pm.test under `ec`. `pm` must outlive the campaign run.
+/// replica; each is a make_lane lane (fp32, plan at ec.batch_size) plus an
+/// injector, evaluating pm.test under `ec` through its plan. A source change
+/// rebuilds image and plan. `pm` must outlive the campaign run.
 [[nodiscard]] fault::WorkerFactory make_campaign_worker_factory(
     PreparedModel& pm, const EvalConfig& ec);
 
-/// Persistent campaign engine over a prepared model: keeps the worker-lane
-/// replicas (models, parameter images, injectors) alive across an entire
+/// Persistent campaign engine over a prepared model: keeps the worker lanes
+/// (models, parameter images, plans, injectors) alive across an entire
 /// rate grid instead of rebuilding them for every rate. Replicas re-sync
 /// from `pm.model` (core::replicate_protection + nn::copy_state) only when
 /// `pm.state_epoch` moves — protect_model bumps it; call pm.touch() after

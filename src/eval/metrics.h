@@ -5,6 +5,7 @@
 
 #include "data/dataset.h"
 #include "nn/module.h"
+#include "nn/plan.h"
 
 namespace fitact::ev {
 
@@ -17,6 +18,13 @@ struct EvalConfig {
 
 /// Top-1 accuracy in [0,1]. Puts the model in eval mode; no gradients.
 [[nodiscard]] double evaluate_accuracy(nn::Module& model,
+                                       const data::Dataset& dataset,
+                                       const EvalConfig& config = {});
+
+/// The same accuracy through a recorded plan (equal to the eager overload on
+/// the plan's model: plans are bit-identical to eager). Throws
+/// std::invalid_argument when config.batch_size exceeds plan.max_batch().
+[[nodiscard]] double evaluate_accuracy(nn::InferencePlan& plan,
                                        const data::Dataset& dataset,
                                        const EvalConfig& config = {});
 

@@ -1,8 +1,8 @@
 // Adapter from the experiment layer to the serving subsystem: stands an
-// serve::InferenceServer up from a PreparedModel, reusing the campaign
-// engine's replica machinery (ev::replicate_model = skip-init make_model +
-// core::replicate_protection + nn::copy_state) for the lanes and
-// calibrating the clamp-rate fault-detection threshold from clean traffic.
+// serve::InferenceServer up from a PreparedModel, building its lanes with
+// the campaign engine's lane builder (ev::make_lane over ev::replicate_model
+// replicas) and calibrating the clamp-rate fault-detection threshold from
+// clean traffic.
 #pragma once
 
 #include <cstdint>
@@ -14,8 +14,8 @@
 namespace fitact::ev {
 
 struct ServeOptions {
-  /// Server shape (lanes, batch size, window, detection threshold, planned
-  /// execution on/off). A negative clamp_rate_threshold means "calibrate
+  /// Server shape (lanes, batch size, window, detection threshold,
+  /// precision). A negative clamp_rate_threshold means "calibrate
   /// from clean traffic" (the default here, overriding the ServerOptions
   /// default).
   serve::ServerOptions server = [] {
@@ -63,10 +63,12 @@ struct ServeOptions {
 ///      options ask for it (threshold < 0);
 ///   3. builds `lanes` independent replicas, each with its own clean
 ///      ParamImage, clamp counting enabled when detection is on;
-///   4. compiles an nn::InferencePlan per lane (when options.server.plan is
-///      set and a test split provides the sample shape), so lanes serve
-///      through recorded zero-allocation execution; a model that cannot be
-///      recorded logs the PlanError once and serves eagerly.
+///   4. compiles each lane's nn::InferencePlan (make_lane) for the test
+///      split's sample shape at options.server.max_batch, so lanes serve
+///      through recorded zero-allocation execution. There is no eager
+///      fallback: a prepared model without a test split throws
+///      std::invalid_argument, and one that cannot be recorded throws
+///      nn::PlanError.
 /// pm must outlive the returned server. Detection requires a bounded
 /// scheme: when no activation site has bounds installed the clamp rate is
 /// identically zero, so rather than serving with a detector that can never

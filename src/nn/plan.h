@@ -11,7 +11,7 @@
 //             tensors by shared storage — live fault injection and clean-
 //             image scrubs through quant::ParamImage remain visible to the
 //             plan because they write through that same storage.
-//   fuse      A peephole pass (on by default; serve::ServerOptions::fuse)
+//   fuse      A peephole pass (on by default; compile's `fuse` flag)
 //             folds each conv2d/linear with the ops that consume only its
 //             output into one fused op whose epilogue runs on the GEMM
 //             output: conv/linear -> clamp, conv -> BatchNorm -> clamp,
@@ -44,8 +44,8 @@
 // the plan documents them instead of silently diverging from forward().
 //
 // Thread safety: a plan is mutable state (its arena); drive it from one
-// thread at a time. Serving lanes hold their lane mutex across execute,
-// exactly as they do for the eager path.
+// thread at a time. Serving lanes hold their lane mutex across execute;
+// campaign lanes are driven by one engine thread at a time.
 #pragma once
 
 #include <cstdint>
@@ -95,8 +95,8 @@ enum class Precision : std::uint8_t {
 };
 
 /// Recording failed: the model cannot run under planned execution (the
-/// message names the offending module path). Callers fall back to eager
-/// forward.
+/// message names the offending module path). Serving and campaign lanes
+/// have no eager fallback and propagate it.
 class PlanError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

@@ -3,9 +3,10 @@
 // InferenceServer accepts single-sample requests, micro-batches them
 // (configurable maximum batch size and batching window), and fans the
 // batches out across worker lanes. Each lane owns an independent replica of
-// the served model plus a clean quant::ParamImage of its parameters — the
-// same lane anatomy as the fault-campaign engine (fault::CampaignWorker),
-// assembled here into an online serving path.
+// the served model, a clean quant::ParamImage of its parameters and a
+// recorded nn::InferencePlan that every batch executes — the same Lane the
+// fault-campaign engine evaluates trials on (ev::make_lane builds both), so
+// campaigns inject faults into the path that serves.
 //
 // Fault detection exploits the dual of the paper's core observation:
 // bounded activations confine fault propagation, so a *saturated clamp at
@@ -21,17 +22,17 @@
 // protection layer doubles as the detector.
 //
 // Locking discipline (machine-checked under clang -Wthread-safety): the
-// request queue, shape latch, and shutdown flag live under queue_mutex_;
+// request queue and shutdown flag live under queue_mutex_;
 // aggregate counters under stats_mutex_; and each lane's model/image/sites
 // under that lane's own mutex (held for the whole batch, and by with_lane).
 // Lock order: a lane mutex is acquired before queue_mutex_/stats_mutex_ and
 // the two global mutexes are never held together.
 //
 // Output contract: per-request results are bit-identical to running the
-// sample alone through the lane model — every layer computes each batch row
-// with a fixed per-element accumulation order independent of the batch
-// assembly — so micro-batching, lane count, and arrival order never change
-// what a client receives. serve_test enforces this.
+// sample alone through the lane model's eager forward — every layer computes
+// each batch row with a fixed per-element accumulation order independent of
+// the batch assembly — so micro-batching, lane count, and arrival order
+// never change what a client receives. serve_test enforces this.
 #pragma once
 
 #include <chrono>
@@ -81,27 +82,12 @@ struct ServerOptions {
   /// the threshold is miscalibrated for this traffic, not that the
   /// parameters are faulty.
   int max_recoveries_per_batch = 1;
-  /// Serve through recorded nn::InferencePlans when lanes carry them
-  /// (ev::make_server compiles one per lane): zero-allocation steady-state
-  /// execution. Lanes without a plan — or batches the plan cannot take —
-  /// fall back to the eager forward path; outputs are bit-identical either
-  /// way, so this is purely a performance switch.
-  bool plan = true;
-  /// Fuse conv/linear + bound-clamp pairs when compiling lane plans
-  /// (nn::InferencePlan::compile's fuse flag): the clamp runs as a GEMM
-  /// epilogue and the pre-activation tensor gets no arena slot. Outputs and
-  /// clamp-event counts are bit-identical either way (plan_test's fusion
-  /// matrix pins this), so — like `plan` — this is purely a performance
-  /// switch; it is the A/B lever serve_throughput's fuse_speedup row uses.
-  /// Ignored when `plan` is off.
-  bool fuse = true;
   /// Arithmetic the lane plans execute with (nn::Precision). int8 serves
   /// block-quantized weights through int8 GEMM with fused dequantize+clamp
   /// epilogues — quantized at make_server time from the FitAct clamp bounds
   /// (they fix the activation scales; see nn::Precision for the fault
-  /// model). Requires `plan` and `fuse`: quantization is a pass over fused
-  /// plan ops, and int8 never falls back to eager (ev::make_server
-  /// propagates compile failures instead of silently serving fp32).
+  /// model). ev::make_server propagates compile failures instead of
+  /// silently serving fp32.
   nn::Precision precision = nn::Precision::fp32;
 
   /// Throws std::invalid_argument on the first invalid field. The single
@@ -131,18 +117,15 @@ struct ServerStats {
   std::uint64_t post_recovery_alarms = 0;
 };
 
-/// Everything one serving lane is made of. `sites` may be left empty; the
-/// server collects the model's BoundedActivation sites itself, and enables
-/// clamp counting on them when detection is configured.
+/// Everything one serving or campaign lane is made of (ev::make_lane). `sites`
+/// may be left empty; the server collects the model's BoundedActivation sites
+/// itself, and enables clamp counting on them when detection is configured.
 struct Lane {
   std::shared_ptr<nn::Module> model;
   std::shared_ptr<quant::ParamImage> image;
   std::vector<std::shared_ptr<core::BoundedActivation>> sites;
-  /// Optional recorded execution plan for this lane's model (compiled by
-  /// ev::make_server). When present and ServerOptions::plan is set, batches
-  /// within the plan's compiled range run through it instead of the eager
-  /// forward. The plan must have been compiled from this lane's model (it
-  /// shares the model's parameter storage and activation sites).
+  /// The plan every batch runs through, compiled from `model` (it shares its
+  /// parameter storage and sites, so image faults and scrubs reach it).
   std::shared_ptr<nn::InferencePlan> plan;
 };
 
@@ -156,8 +139,8 @@ class InferenceServer {
  public:
   /// Builds every lane on the calling thread, then starts the lane threads.
   /// Throws std::invalid_argument for a null factory, options that fail
-  /// ServerOptions::validate(), or a factory that returns a lane without a
-  /// model or image.
+  /// ServerOptions::validate(), a lane without a model, image or plan, a
+  /// plan below options.max_batch, or plans of differing sample shapes.
   InferenceServer(const LaneFactory& factory, ServerOptions options);
 
   /// Stops accepting work, drains every queued request, and joins the lane
@@ -167,10 +150,10 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Enqueue one sample ([C,H,W], or [1,C,H,W]); the tensor is copied into
-  /// the batch during assembly, so the caller may reuse its buffer after
-  /// submit returns. All samples must share one shape (fixed by the first
-  /// request). Throws std::runtime_error after shutdown began.
+  /// Enqueue one sample ([C,H,W], or [1,C,H,W]) of the plans' sample shape;
+  /// the sample is copied before submit returns, so the caller may reuse its
+  /// buffer at once. Throws std::invalid_argument for any other shape and
+  /// std::runtime_error after shutdown began.
   [[nodiscard]] std::future<RequestResult> submit(const Tensor& image);
 
   /// Synchronous convenience wrapper: submit + wait.
@@ -215,14 +198,13 @@ class InferenceServer {
 
   ServerOptions options_;  ///< immutable after construction
   std::vector<std::unique_ptr<LaneState>> lanes_;  ///< vector itself immutable
+  Shape sample_shape_;  ///< the lane plans' [C,H,W]; immutable after construction
   std::vector<std::thread> threads_;
 
   mutable ut::Mutex queue_mutex_;
   ut::CondVar queue_cv_;
   ut::CondVar idle_cv_;
   std::deque<Request> queue_ FITACT_GUARDED_BY(queue_mutex_);
-  /// Fixed by the first submitted request.
-  Shape sample_shape_ FITACT_GUARDED_BY(queue_mutex_);
   /// Submitted, not yet answered.
   std::uint64_t in_flight_ FITACT_GUARDED_BY(queue_mutex_) = 0;
   std::uint64_t next_batch_id_ FITACT_GUARDED_BY(queue_mutex_) = 0;

@@ -10,6 +10,7 @@
 #include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "fault/campaign.h"
+#include "fault/injector.h"
 #include "models/registry.h"
 #include "nn/serialize.h"
 #include "quant/param_image.h"
@@ -105,6 +106,84 @@ TEST(CampaignSession, TouchForcesResyncAfterDirectMutation) {
   expect_equal_results(session.run(1e-5, 62),
                        campaign_at_rate(fresh, 1e-5, scale, 62),
                        "post-touch");
+}
+
+/// What a plan-lane campaign must reproduce: the legacy single-injector
+/// engine over pm.model, scored by eager forwards.
+fault::CampaignResult eager_reference(PreparedModel& pm, double rate,
+                                      const ExperimentScale& scale,
+                                      std::uint64_t seed) {
+  quant::ParamImage image(*pm.model);
+  fault::Injector injector(image);
+  EvalConfig ec;
+  ec.max_samples = scale.eval_samples;
+  fault::CampaignConfig cc;
+  cc.bit_error_rate = rate;
+  cc.trials = scale.trials;
+  cc.seed = seed;
+  return fault::run_campaign(
+      injector, [&] { return evaluate_accuracy(*pm.model, *pm.test, ec); },
+      cc);
+}
+
+// Campaign lanes evaluate through recorded plans; accuracies and flip
+// counts must equal the eager reference on an identically prepared model,
+// at every lane count, for a plain CNN and a BatchNorm/residual one.
+TEST(CampaignSession, PlanLanesMatchEagerReference) {
+  for (const char* name : {"tinycnn", "resnet50"}) {
+    ExperimentScale scale = tiny_scale();
+    PreparedModel planned = prepare_model(name, 10, scale, "", 43);
+    PreparedModel eager = prepare_model(name, 10, scale, "", 43);
+    (void)protect_model(planned, core::Scheme::clip_act, scale);
+    (void)protect_model(eager, core::Scheme::clip_act, scale);
+    for (const double rate : {1e-6, 1e-5, 1e-4}) {
+      const fault::CampaignResult want =
+          eager_reference(eager, rate, scale, 71);
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        scale.campaign_threads = threads;
+        expect_equal_results(campaign_at_rate(planned, rate, scale, 71), want,
+                             std::string(name) + " rate " +
+                                 std::to_string(rate) + " threads " +
+                                 std::to_string(threads));
+      }
+    }
+  }
+}
+
+// A session's plan lanes follow the source through re-protection (clip_act
+// -> fitrelu with post-training) and a touch()ed per-layer ranger change:
+// after each re-sync, which rebuilds every lane's image and plan, the
+// results still equal the eager reference.
+TEST(CampaignSession, PlanLanesFollowReprotectionAndTouch) {
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ExperimentScale scale = tiny_scale();
+    scale.campaign_threads = threads;
+    PreparedModel planned = prepare_model("tinycnn", 10, scale, "", 47);
+    PreparedModel eager = prepare_model("tinycnn", 10, scale, "", 47);
+    const std::string context = "threads " + std::to_string(threads);
+
+    (void)protect_model(planned, core::Scheme::clip_act, scale);
+    (void)protect_model(eager, core::Scheme::clip_act, scale);
+    CampaignSession session(planned, scale);
+    expect_equal_results(session.run(1e-4, 81),
+                         eager_reference(eager, 1e-4, scale, 81),
+                         context + " clip_act");
+
+    (void)protect_model(planned, core::Scheme::fitrelu, scale);
+    (void)protect_model(eager, core::Scheme::fitrelu, scale);
+    expect_equal_results(session.run(1e-4, 82),
+                         eager_reference(eager, 1e-4, scale, 82),
+                         context + " fitrelu");
+
+    core::ProtectionOptions opts;
+    opts.granularity = core::Granularity::per_layer;
+    core::apply_protection(*planned.model, core::Scheme::ranger, opts);
+    planned.touch();
+    core::apply_protection(*eager.model, core::Scheme::ranger, opts);
+    expect_equal_results(session.run(1e-4, 83),
+                         eager_reference(eager, 1e-4, scale, 83),
+                         context + " per-layer ranger");
+  }
 }
 
 TEST(CampaignSession, FaultLevelSessionMatchesOneShotEngine) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <numeric>
@@ -242,7 +244,7 @@ TEST(Serve, RejectsMalformedRequestsAndConfigs) {
   EXPECT_THROW((void)server->submit(Tensor()), std::invalid_argument);
   EXPECT_THROW((void)server->submit(Tensor::zeros(Shape{10})),
                std::invalid_argument);
-  // First request fixes the sample shape; a different one is refused.
+  // The lane plans fix the sample shape; any other one is refused.
   (void)server->infer(Tensor::zeros(Shape{3, 32, 32}));
   EXPECT_THROW((void)server->submit(Tensor::zeros(Shape{3, 16, 16})),
                std::invalid_argument);
@@ -267,6 +269,53 @@ TEST(Serve, RejectsMalformedRequestsAndConfigs) {
                    [](std::size_t) { return serve::Lane{}; },
                    serve::ServerOptions{}),
                std::invalid_argument);
+  // There is no eager path: a lane without a plan fails at construction,
+  // and so does a plan compiled below the server's max_batch.
+  serve::ServerOptions batch8;
+  batch8.max_batch = 8;
+  EXPECT_THROW(serve::InferenceServer(
+                   [&pm](std::size_t) {
+                     serve::Lane lane = make_lane(pm, replicate_model(pm), 8);
+                     lane.plan.reset();
+                     return lane;
+                   },
+                   batch8),
+               std::invalid_argument);
+  EXPECT_THROW(serve::InferenceServer(
+                   [&pm](std::size_t) {
+                     return make_lane(pm, replicate_model(pm), 4);
+                   },
+                   batch8),
+               std::invalid_argument);
+  EXPECT_NO_THROW(serve::InferenceServer(
+      [&pm](std::size_t) { return make_lane(pm, replicate_model(pm), 8); },
+      batch8));
+}
+
+// submit copies the sample before it returns: a caller that reuses its
+// buffer at once must still get the answer for what it submitted. The long
+// batching window keeps the lane waiting for more requests while the
+// buffer is overwritten, so an aliased request would read the new values.
+TEST(Serve, SubmitCopiesTheSampleSoCallersMayReuseTheirBuffer) {
+  PreparedModel pm = prepared(29);
+  ServeOptions options;
+  options.server.lanes = 1;
+  options.server.max_batch = 8;
+  options.server.batch_window = std::chrono::milliseconds(200);
+  const auto server = make_server(pm, options);
+  const std::vector<Tensor> samples = test_samples(pm, 2);
+  const std::vector<Tensor> ref = reference_logits(pm, samples);
+  bool differ = false;
+  for (std::int64_t j = 0; j < ref[0].numel(); ++j) {
+    differ = differ || ref[0][j] != ref[1][j];
+  }
+  ASSERT_TRUE(differ) << "the two samples must have different answers";
+
+  Tensor buffer = samples[0].clone();
+  std::future<serve::RequestResult> future = server->submit(buffer);
+  std::memcpy(buffer.data(), samples[1].data(),
+              sizeof(float) * static_cast<std::size_t>(buffer.numel()));
+  expect_bit_identical(future.get().logits, ref[0], "reused buffer");
 }
 
 TEST(Serve, CalibrationMeasuresCleanPeakRate) {
