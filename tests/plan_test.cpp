@@ -75,7 +75,10 @@ namespace fitact {
 namespace {
 
 /// Zoo model at test width, in eval mode, with bounds seeded from a short
-/// random-input profiling pass when the scheme needs them.
+/// random-input profiling pass when the scheme needs them. "vgg16_bn" is
+/// VGG16 with BatchNorm after every conv (ModelConfig::vgg_batchnorm); its
+/// running statistics come from a few training-mode forwards, so the
+/// folded BatchNorm is not the identity.
 std::shared_ptr<nn::Module> zoo_model(const std::string& name,
                                       core::Scheme scheme,
                                       std::uint64_t seed) {
@@ -83,8 +86,18 @@ std::shared_ptr<nn::Module> zoo_model(const std::string& name,
   cfg.num_classes = 10;
   cfg.width_mult = 0.125f;
   cfg.seed = seed;
+  cfg.vgg_batchnorm = name == "vgg16_bn";
   auto model = name == "tinycnn" ? models::make_tinycnn(cfg)
-                                 : models::make_model(name, cfg);
+               : cfg.vgg_batchnorm ? models::make_model("vgg16", cfg)
+                                   : models::make_model(name, cfg);
+  if (cfg.vgg_batchnorm) {
+    ut::Rng rng(seed + 2);
+    const NoGradGuard no_grad;
+    for (int i = 0; i < 3; ++i) {
+      (void)model->forward(
+          Variable(Tensor::randn(Shape{4, 3, 32, 32}, rng), false));
+    }
+  }
   model->set_training(false);
   if (scheme != core::Scheme::relu) {
     const auto sites = core::collect_activations(*model);
@@ -153,11 +166,13 @@ INSTANTIATE_TEST_SUITE_P(Zoo, PlanZoo,
                          ::testing::Values("tinycnn", "alexnet", "vgg16",
                                            "resnet50"));
 
-// Fusion acceptance matrix: the conv/linear + bias + bound-clamp fusion
-// pass must be a pure performance transform. For every zoo model, the
-// fused plan reproduces both the eager forward and the unfused plan
-// bit-for-bit at batch 1 / 3 / 8 on both kernel backends, and wherever a
-// pair actually fuses the dead intermediate must shrink the arena.
+// Fusion acceptance matrix: the conv/linear fusion pass must be a pure
+// performance transform. For every zoo model (plus VGG16 with BatchNorm,
+// whose conv -> BN -> activation chains fold into one op) under every
+// activation scheme and bound granularity, the fused plan reproduces both
+// the eager forward and the unfused plan bit-for-bit at batch 1 / 3 / 8 on
+// both kernel backends, and wherever a pair actually fuses the dead
+// intermediate must shrink the arena.
 class PlanFusion : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
@@ -190,6 +205,11 @@ TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
     EXPECT_EQ(fused->bn_folded_op_count(), 1u + 2u * 16u + 16u);
     EXPECT_EQ(fused->fused_op_count(), 1u + 3u * 16u + 4u);
     EXPECT_EQ(fused->op_count(), fused->fused_op_count() + 2u);
+  } else if (name == "vgg16_bn") {
+    // All 13 convs fold as conv -> BN -> clamp, plus the hidden linear.
+    EXPECT_EQ(fused->bn_folded_op_count(), 13u);
+    EXPECT_EQ(fused->fused_op_count(), 14u);
+    EXPECT_EQ(fused->residual_folded_op_count(), 0u);
   } else {
     EXPECT_EQ(fused->bn_folded_op_count(), 0u);
     EXPECT_EQ(fused->residual_folded_op_count(), 0u);
@@ -202,33 +222,58 @@ TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
     EXPECT_LT(fused->arena_bytes(), unfused->arena_bytes());
   }
 
+  // Both plans read scheme and bounds from the sites at execute time, so
+  // one compiled pair serves every protection configuration.
+  struct Config {
+    core::Scheme scheme;
+    core::Granularity granularity;
+  };
+  std::vector<Config> configs = {
+      {core::Scheme::relu, core::Granularity::per_layer}};
+  for (const core::Scheme scheme :
+       {core::Scheme::clip_act, core::Scheme::ranger,
+        core::Scheme::fitrelu_naive, core::Scheme::fitrelu}) {
+    for (const core::Granularity g :
+         {core::Granularity::per_layer, core::Granularity::per_channel,
+          core::Granularity::per_neuron}) {
+      configs.push_back({scheme, g});
+    }
+  }
   ut::Rng rng(101);
   const NoGradGuard no_grad;
-  for (const kern::Backend backend :
-       {kern::Backend::scalar,
-        kern::avx2_supported() ? kern::Backend::avx2 : kern::Backend::scalar}) {
-    const kern::BackendGuard guard(backend);
-    for (const std::int64_t b : {1, 3, 8}) {
-      const Tensor x = Tensor::randn(Shape{b, 3, 32, 32}, rng);
-      const Tensor want = model->forward(Variable(x, false)).value();
-      const std::string context = std::string(GetParam()) + " backend " +
-                                  kern::backend_name(backend) + " batch " +
-                                  std::to_string(b);
-      std::memcpy(fused->input_view(b).data(), x.data(),
-                  sizeof(float) * static_cast<std::size_t>(x.numel()));
-      std::memcpy(unfused->input_view(b).data(), x.data(),
-                  sizeof(float) * static_cast<std::size_t>(x.numel()));
-      const Tensor& got = fused->execute(b);
-      expect_bit_identical(got, want, context + " fused vs eager");
-      expect_bit_identical(unfused->execute(b), got,
-                           context + " unfused vs fused");
+  for (const Config& config : configs) {
+    core::ProtectionOptions options = core::default_options(config.scheme);
+    options.granularity = config.granularity;
+    core::apply_protection(*model, config.scheme, options);
+    for (const kern::Backend backend :
+         {kern::Backend::scalar, kern::avx2_supported()
+                                     ? kern::Backend::avx2
+                                     : kern::Backend::scalar}) {
+      const kern::BackendGuard guard(backend);
+      for (const std::int64_t b : {1, 3, 8}) {
+        const Tensor x = Tensor::randn(Shape{b, 3, 32, 32}, rng);
+        const Tensor want = model->forward(Variable(x, false)).value();
+        const std::string context =
+            name + " " + core::to_string(config.scheme) + " granularity " +
+            std::to_string(static_cast<int>(config.granularity)) +
+            " backend " + kern::backend_name(backend) + " batch " +
+            std::to_string(b);
+        std::memcpy(fused->input_view(b).data(), x.data(),
+                    sizeof(float) * static_cast<std::size_t>(x.numel()));
+        std::memcpy(unfused->input_view(b).data(), x.data(),
+                    sizeof(float) * static_cast<std::size_t>(x.numel()));
+        const Tensor& got = fused->execute(b);
+        expect_bit_identical(got, want, context + " fused vs eager");
+        expect_bit_identical(unfused->execute(b), got,
+                             context + " unfused vs fused");
+      }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, PlanFusion,
                          ::testing::Values("tinycnn", "alexnet", "vgg16",
-                                           "resnet50"));
+                                           "resnet50", "vgg16_bn"));
 
 // Batch-assembly invariance through grouped conv GEMMs: vgg16 is the zoo
 // model whose last convs have a 2x2 output, where conv2d_forward_batch
@@ -295,49 +340,61 @@ TEST(PlanBatchAssembly, GroupedConvSamplesMatchBatchOneBitForBit) {
 }
 
 // Fused clamp-event counting must tally exactly what the standalone
-// activation op would have: same per-site events, same inspected totals.
-// Inputs are drawn wider than the profiling pass so some pre-activations
-// genuinely exceed their bounds and the event comparison is non-trivial.
+// activation op would have: same per-site events, same inspected totals —
+// for the clip cascades and FitReLU, on plain conv/linear chains (tinycnn),
+// conv -> BN chains (vgg16_bn) and residual tails (resnet50). Inputs are
+// drawn wider than the profiling pass so some pre-activations genuinely
+// exceed their bounds and the event comparison is non-trivial.
 TEST(PlanFusion, FusedClampCountsEqualUnfused) {
-  const auto model = zoo_model("tinycnn", core::Scheme::clip_act, 47);
-  const auto sites = core::collect_activations(*model);
-  for (const auto& site : sites) site->set_clamp_counting(true);
-  const auto fused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 4,
-                                                /*fuse=*/true);
-  const auto unfused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 4,
-                                                  /*fuse=*/false);
-  ASSERT_GT(fused->fused_op_count(), 0u);
-  ut::Rng rng(53);
-  const Tensor x = Tensor::rand_uniform(Shape{3, 3, 32, 32}, rng, -4.0f, 4.0f);
-  const auto run = [&](nn::InferencePlan& plan) {
-    core::reset_clamp_counters(sites);
-    std::memcpy(plan.input_view(3).data(), x.data(),
-                sizeof(float) * static_cast<std::size_t>(x.numel()));
-    (void)plan.execute(3);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
-    counts.reserve(sites.size());
-    for (const auto& site : sites) {
-      counts.emplace_back(site->clamp_events(), site->clamp_total());
+  for (const char* name : {"tinycnn", "vgg16_bn", "resnet50"}) {
+    const auto model = zoo_model(name, core::Scheme::clip_act, 47);
+    const auto sites = core::collect_activations(*model);
+    for (const auto& site : sites) site->set_clamp_counting(true);
+    const auto fused = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 4,
+                                                  /*fuse=*/true);
+    const auto unfused = nn::InferencePlan::compile(model, Shape{3, 32, 32},
+                                                    4, /*fuse=*/false);
+    ASSERT_GT(fused->fused_op_count(), 0u);
+    ut::Rng rng(53);
+    const Tensor x =
+        Tensor::rand_uniform(Shape{3, 3, 32, 32}, rng, -4.0f, 4.0f);
+    const auto run = [&](nn::InferencePlan& plan) {
+      core::reset_clamp_counters(sites);
+      std::memcpy(plan.input_view(3).data(), x.data(),
+                  sizeof(float) * static_cast<std::size_t>(x.numel()));
+      (void)plan.execute(3);
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> counts;
+      counts.reserve(sites.size());
+      for (const auto& site : sites) {
+        counts.emplace_back(site->clamp_events(), site->clamp_total());
+      }
+      return counts;
+    };
+    for (const core::Scheme scheme :
+         {core::Scheme::clip_act, core::Scheme::ranger,
+          core::Scheme::fitrelu}) {
+      core::apply_protection(*model, scheme);
+      const std::string ctx =
+          std::string(name) + " " + core::to_string(scheme);
+      const auto fused_counts = run(*fused);
+      const auto unfused_counts = run(*unfused);
+      ASSERT_EQ(fused_counts.size(), unfused_counts.size());
+      std::uint64_t events = 0;
+      std::uint64_t total = 0;
+      for (std::size_t i = 0; i < fused_counts.size(); ++i) {
+        EXPECT_EQ(fused_counts[i].first, unfused_counts[i].first)
+            << ctx << " site " << i << " events";
+        EXPECT_EQ(fused_counts[i].second, unfused_counts[i].second)
+            << ctx << " site " << i << " total";
+        events += fused_counts[i].first;
+        total += fused_counts[i].second;
+      }
+      EXPECT_GT(events, 0u) << ctx << ": inputs wide enough to clamp";
+      EXPECT_GT(total, 0u) << ctx;
     }
-    return counts;
-  };
-  const auto fused_counts = run(*fused);
-  const auto unfused_counts = run(*unfused);
-  ASSERT_EQ(fused_counts.size(), unfused_counts.size());
-  std::uint64_t events = 0;
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < fused_counts.size(); ++i) {
-    EXPECT_EQ(fused_counts[i].first, unfused_counts[i].first)
-        << "site " << i << " events";
-    EXPECT_EQ(fused_counts[i].second, unfused_counts[i].second)
-        << "site " << i << " total";
-    events += fused_counts[i].first;
-    total += fused_counts[i].second;
+    for (const auto& site : sites) site->set_clamp_counting(false);
+    core::reset_clamp_counters(sites);
   }
-  EXPECT_GT(events, 0u) << "inputs wide enough to clamp somewhere";
-  EXPECT_GT(total, 0u);
-  for (const auto& site : sites) site->set_clamp_counting(false);
-  core::reset_clamp_counters(sites);
 }
 
 // ---- Int8 quantized plans --------------------------------------------------
