@@ -8,7 +8,9 @@
 //   2. single   — the server at max_batch 1, synchronous round-trips
 //                 (single-request serving);
 //   3. batched  — the server at the configured batch size and lane count,
-//                 all requests in flight at once (micro-batched serving).
+//                 all requests in flight at once (micro-batched serving),
+//                 in repeated bursts over at least 2 s; the median burst
+//                 is reported.
 // The headline number is batched/single throughput — what micro-batching
 // buys. The batched phase counts global operator new calls per request.
 // The server has one execution path, the recorded plan, so the two A/Bs
@@ -236,7 +238,10 @@ ForwardAB measure_plan_vs_eager(fitact::ev::PreparedModel& pm,
 
 // Fused-epilogue A/B on the served model, measured at the plan level like
 // the planned-vs-eager A/B above: plan->execute directly, identical input,
-// identical backend, best-of-reps wall time per variant.
+// identical backend, best-of-reps wall time per variant. The fused plan
+// finishes each conv/linear with one kern::epilogue pass over the GEMM
+// output (bias, BatchNorm, residual add, clamp or FitReLU, counting); the
+// unfused one runs those as separate ops through intermediate slots.
 double measure_fuse_speedup(const std::shared_ptr<fitact::nn::Module>& model,
                             const fitact::Shape& sample_shape,
                             std::int64_t batch, double* unfused_ms_out,
@@ -452,10 +457,20 @@ int main(int argc, char** argv) {
     single = summarize(wall.elapsed_ms(), std::move(latencies));
   }
 
-  // Phase 3: micro-batched serving — everything in flight at once. Each run
-  // counts heap allocations per request; the count covers the whole
-  // serving layer (request copies, futures, queue nodes), not just the
-  // plan, whose steady-state execute allocates nothing.
+  // Phase 3: micro-batched serving — everything in flight at once, as
+  // repeated bursts of the whole request pool against one server. At smoke
+  // scale one burst lasts ~10-15 ms, but a host that was idle serves the
+  // first ~second of multi-threaded load at a fraction of its cores: on a
+  // 4-vCPU VM, after a 45 s pause, bursts took 36-42 ms for the first
+  // ~1 s and 11-14 ms after it. So the phase keeps bursting until it has
+  // run for kMinBatchedMs and at least kMinBursts bursts, and reports the
+  // median burst by throughput.
+  // Allocations are counted per request over every burst; the count covers
+  // the whole serving layer (request copies, futures, queue nodes), not
+  // just the plan, whose steady-state execute allocates nothing.
+  constexpr double kMinBatchedMs = 2000.0;
+  constexpr int kMinBursts = 7;
+  constexpr int kMaxBursts = 1000;
   const auto run_batched = [&](const ev::ServeOptions& options,
                                std::vector<std::int64_t>* preds) {
     const auto server = ev::make_server(pm, options);
@@ -474,49 +489,46 @@ int main(int argc, char** argv) {
       }
       for (auto& f : warm) (void)f.get();
     }
+    std::vector<PhaseReport> bursts;
     std::vector<std::future<serve::RequestResult>> futures;
     futures.reserve(samples.size());
-    std::vector<double> latencies;
-    latencies.reserve(samples.size());
     std::vector<ut::Timer> submit_time(samples.size());
     const std::uint64_t allocs_before =
         g_alloc_count.load(std::memory_order_relaxed);
-    ut::Timer wall;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      submit_time[i].reset();
-      futures.push_back(server->submit(samples[i]));
+    const ut::Timer phase;
+    while (bursts.size() < static_cast<std::size_t>(kMaxBursts) &&
+           (bursts.size() < static_cast<std::size_t>(kMinBursts) ||
+            phase.elapsed_ms() < kMinBatchedMs)) {
+      futures.clear();
+      std::vector<double> latencies;
+      latencies.reserve(samples.size());
+      ut::Timer wall;
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        submit_time[i].reset();
+        futures.push_back(server->submit(samples[i]));
+      }
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        const serve::RequestResult result = futures[i].get();
+        // Serving outputs are deterministic for a fixed configuration, so
+        // every burst's predictions are interchangeable.
+        if (preds != nullptr) (*preds)[i] = result.predicted;
+        latencies.push_back(submit_time[i].elapsed_ms());
+      }
+      bursts.push_back(summarize(wall.elapsed_ms(), std::move(latencies)));
     }
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      const serve::RequestResult result = futures[i].get();
-      if (preds != nullptr) (*preds)[i] = result.predicted;
-      latencies.push_back(submit_time[i].elapsed_ms());
-    }
-    PhaseReport r = summarize(wall.elapsed_ms(), std::move(latencies));
-    r.allocs_per_req =
+    const double allocs =
         static_cast<double>(g_alloc_count.load(std::memory_order_relaxed) -
                             allocs_before) /
-        static_cast<double>(samples.size());
+        static_cast<double>(samples.size() * bursts.size());
+    std::sort(bursts.begin(), bursts.end(),
+              [](const PhaseReport& x, const PhaseReport& y) {
+                return x.req_per_s < y.req_per_s;
+              });
+    PhaseReport r = bursts[bursts.size() / 2];
+    r.allocs_per_req = allocs;
     return r;
   };
-  // At smoke scale a batched phase lasts tens of milliseconds, which is
-  // noise-dominated territory for the A/B ratios below; best-of-three per
-  // configuration keeps them honest at negligible extra cost (the phases a
-  // ratio pairs run minutes apart on a busy host, so each side needs its
-  // own quiet slice).
-  const auto run_batched_best = [&](const ev::ServeOptions& options,
-                                    std::vector<std::int64_t>* preds =
-                                        nullptr) {
-    // Serving outputs are deterministic for a fixed configuration, so the
-    // predictions from any rep are interchangeable; only the wall time
-    // picks the winner.
-    PhaseReport best = run_batched(options, preds);
-    for (int rep = 1; rep < 3; ++rep) {
-      PhaseReport r = run_batched(options, preds);
-      if (r.req_per_s > best.req_per_s) best = std::move(r);
-    }
-    return best;
-  };
-  const PhaseReport batched = run_batched_best(base);
+  const PhaseReport batched = run_batched(base, nullptr);
   // Planned-vs-eager A/B at the forward level. Eager has no int8 form, so
   // under --precision int8 it keeps measuring what planning buys the
   // full-precision path.
@@ -530,7 +542,7 @@ int main(int argc, char** argv) {
   if (int8_capable) {
     ev::ServeOptions int8_options = base;
     int8_options.server.precision = nn::Precision::int8;
-    int8_batched = run_batched_best(int8_options, &int8_preds);
+    int8_batched = run_batched(int8_options, &int8_preds);
   }
 
   // Phase 4: batched load with live fault injection every `inject_every`

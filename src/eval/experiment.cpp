@@ -1,5 +1,6 @@
 #include "eval/experiment.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
@@ -241,7 +242,18 @@ fault::WorkerFactory make_campaign_worker_factory(PreparedModel& pm,
     fault::Injector injector;
   };
   const std::shared_ptr<data::Dataset> test = pm.test;
-  return [&pm, test, ec](std::size_t index) {
+  // A trial scores at most the evaluated subset, so lane plans compile (and
+  // evaluate) at no more rows than that: the arena and compile cost of a
+  // batch_size plan buy nothing when max_samples is smaller.
+  EvalConfig lane_ec = ec;
+  if (test) {
+    const std::int64_t samples = ec.max_samples > 0
+                                     ? std::min(ec.max_samples, test->size())
+                                     : test->size();
+    lane_ec.batch_size =
+        std::max<std::int64_t>(1, std::min(samples, ec.batch_size));
+  }
+  return [&pm, test, ec = lane_ec](std::size_t index) {
     auto ctx = std::make_shared<CampaignLane>(make_lane(
         pm, index == 0 ? pm.model : replicate_model(pm), ec.batch_size));
     fault::CampaignWorker w;

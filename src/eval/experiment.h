@@ -127,9 +127,10 @@ ProtectReport protect_model(PreparedModel& pm, core::Scheme scheme,
 
 /// Campaign worker factory over the prepared model: lane 0 injects into
 /// pm.model itself (and leaves it restored), every other lane gets its own
-/// replica; each is a make_lane lane (fp32, plan at ec.batch_size) plus an
-/// injector, evaluating pm.test under `ec` through its plan. A source change
-/// rebuilds image and plan. `pm` must outlive the campaign run.
+/// replica; each is a make_lane lane (fp32, plan at ec.batch_size, or at
+/// the evaluated sample count when that is smaller) plus an injector,
+/// evaluating pm.test under `ec` through its plan. A source change rebuilds
+/// image and plan. `pm` must outlive the campaign run.
 [[nodiscard]] fault::WorkerFactory make_campaign_worker_factory(
     PreparedModel& pm, const EvalConfig& ec);
 

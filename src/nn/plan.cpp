@@ -95,6 +95,15 @@ const Tensor& checked_bounds(const core::BoundedActivation& site,
   return bt;
 }
 
+/// Credits `site` with the clamp events of `total` elements when the
+/// epilogue `e` resolved from it counts.
+void count_events(core::BoundedActivation* site, const kern::Epilogue& e,
+                  std::uint64_t events, std::int64_t total) {
+  if (e.count) {
+    site->add_clamp_counts(events, static_cast<std::uint64_t>(total));
+  }
+}
+
 /// 1x1, stride-1, unpadded: the conv's patch matrix is its HWC input image.
 bool is_pointwise(const Conv2dGeometry& g) {
   return g.kernel_h == 1 && g.kernel_w == 1 && g.stride == 1 &&
@@ -513,6 +522,14 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
           scratch_i8, static_cast<std::size_t>(max_batch * op.q8->cols_padded));
     }
   }
+  std::size_t bn_floats = 0;
+  for (const auto& op : plan->ops_) {
+    if (op.gamma.defined()) {
+      bn_floats = std::max(bn_floats, static_cast<std::size_t>(
+                                          4 * op.gamma.numel()));
+    }
+  }
+  plan->bn_planar_.assign(bn_floats, 0.0f);
   plan->scratch_floats_ = scratch;
   plan->scratch_i8_bytes_ = scratch_i8;
   if (scratch_i8 > 0) {
@@ -1009,40 +1026,17 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
         break;
       }
       case K::activation: {
-        core::BoundedActivation* site = op.site;
-        require_serving_site(*site, op.label);
-        const std::int64_t n = batch * numel(op.in0);
-        const float* x = ptr(op.in0);
-        float* o = ptr(op.out);
-        if (site->scheme() == core::Scheme::relu) {
-          ag::relu_forward(x, o, n);
-          break;
-        }
-        const Tensor& bt = checked_bounds(*site, op.fb);
-        const bool count = site->clamp_counting();
+        // Bias-free epilogue from one slot into another, one sample's
+        // [channels, hw] block at a time.
+        const kern::Epilogue e = resolve_epilogue(op);
+        const std::int64_t feat = numel(op.in0);
         std::uint64_t events = 0;
-        switch (site->scheme()) {
-          case core::Scheme::clip_act:
-          case core::Scheme::fitrelu_naive:
-            events = ag::clipped_relu_forward(x, bt.data(), bt.numel(), op.fb,
-                                              ag::ClipMode::zero_above, o, n,
-                                              count);
-            break;
-          case core::Scheme::ranger:
-            events = ag::clipped_relu_forward(x, bt.data(), bt.numel(), op.fb,
-                                              ag::ClipMode::saturate, o, n,
-                                              count);
-            break;
-          case core::Scheme::fitrelu:
-            events = ag::fitrelu_forward(x, bt.data(), bt.numel(), op.fb,
-                                         site->steepness(), o, n, count);
-            break;
-          case core::Scheme::relu:
-            break;  // handled above
+        for (std::int64_t s = 0; s < batch; ++s) {
+          events += kern::epilogue(ptr(op.in0) + s * feat,
+                                   ptr(op.out) + s * feat, op.fb.channels,
+                                   op.fb.hw, e);
         }
-        if (count) {
-          site->add_clamp_counts(events, static_cast<std::uint64_t>(n));
-        }
+        count_events(op.site, e, events, batch * feat);
         break;
       }
       case K::add:
@@ -1057,78 +1051,27 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
   return output_views_[static_cast<std::size_t>(batch - 1)];
 }
 
-void InferencePlan::run_fused(const Op& op, std::int64_t batch,
-                              const float* x, const float* shortcut,
-                              float* scratch, float* o) {
-  core::BoundedActivation* site = op.site;
-  const ag::ClampSpec spec = fused_clamp_spec(op);
-  const bool is_conv = op.kind == PlanBuilder::OpKind::fused_conv2d;
-  const std::int64_t out_stride =
-      values_[static_cast<std::size_t>(op.out)].sample_numel;
-  const float* w = op.weight.data();
-  const float* b = op.bias.defined() ? op.bias.data() : nullptr;
-  const bool fitrelu =
-      site != nullptr && site->scheme() == core::Scheme::fitrelu;
-  const bool has_bn = op.gamma.defined();
-  // The activation step over n elements of whole samples. Covers plain
-  // ReLU too: its spec is bound=+inf / zero_above / no counting,
-  // bit-identical to relu_forward.
-  const auto activate = [&](float* p, std::int64_t n) {
-    if (fitrelu) {
-      return ag::fitrelu_forward(p, spec.bound, spec.bound_numel, op.fb,
-                                 site->steepness(), p, n, spec.count);
+kern::Epilogue InferencePlan::resolve_epilogue(const Op& op) {
+  // Parameters, scheme and bounds are re-read on every execute: bias,
+  // BatchNorm and bound tensors stay fault-visible, and re-protection after
+  // compile behaves exactly as on the unfused path.
+  kern::Epilogue e;
+  if (op.q8) e.scale = op.q8->combined.data();
+  if (op.bias.defined()) e.bias = op.bias.data();
+  if (op.gamma.defined()) {
+    // Planar {mean, invstd, gamma, beta}; invstd as batch_norm2d_eval_forward
+    // computes it.
+    const std::int64_t ch = op.gamma.numel();
+    float* bn = bn_planar_.data();
+    for (std::int64_t c = 0; c < ch; ++c) {
+      bn[c] = op.running_mean.data()[c];
+      bn[ch + c] = 1.0f / std::sqrt(op.running_var.data()[c] + op.eps);
+      bn[2 * ch + c] = op.gamma.data()[c];
+      bn[3 * ch + c] = op.beta.data()[c];
     }
-    return ag::clipped_relu_forward(p, spec.bound, spec.bound_numel, op.fb,
-                                    spec.mode, p, n, spec.count);
-  };
-  std::uint64_t events = 0;
-  if (site != nullptr && !fitrelu && !has_bn && shortcut == nullptr) {
-    // Bias + clamp is one epilogue kernel on the GEMM output.
-    events = is_conv ? ag::conv2d_clamp_forward_batch(op.geo, op.out_c, batch,
-                                                      x, w, b, scratch, o,
-                                                      spec)
-                     : ag::linear_clamp_forward(batch, op.in_f, op.out_f, x,
-                                                w, b, scratch, o, spec);
-  } else if (is_conv) {
-    // Replay the unfused sequence on each sample while its planes are
-    // cache-hot: conv (bias included) into the fused output slot, then BN
-    // in place, the residual add, the activation — the same steps in the
-    // same order as the unfused program, minus the separate intermediate
-    // slots, so outputs stay bit-identical.
-    const std::int64_t hw = op.geo.col_cols();
-    ag::conv2d_forward_batch(
-        op.geo, op.out_c, batch, x, w, b, scratch, o, [&](float* os) {
-          if (has_bn) {
-            ag::batch_norm2d_eval_forward(
-                1, op.out_c, hw, os, op.gamma.data(), op.beta.data(),
-                op.running_mean.data(), op.running_var.data(), op.eps, os);
-          }
-          if (shortcut != nullptr) {
-            ag::add_forward(os, shortcut + (os - o), os, out_stride);
-          }
-          if (site != nullptr) events += activate(os, out_stride);
-        });
-  } else {
-    // FitReLU's sigmoid shaping has no clip-kernel expression: the linear
-    // (bias included), then the activation pass.
-    ag::linear_forward(batch, op.in_f, op.out_f, x, w, b, scratch, o);
-    events = activate(o, batch * out_stride);
+    e.bn = bn;
   }
-  if (spec.count) {
-    site->add_clamp_counts(events,
-                           static_cast<std::uint64_t>(batch * out_stride));
-  }
-}
-
-ag::ClampSpec InferencePlan::fused_clamp_spec(const Op& op) {
-  // Scheme and bounds are re-read from the site on every execute, so
-  // re-protection after compile behaves exactly as on the unfused path. No
-  // site (a projection's conv -> BN) and a plain ReLU both come back as
-  // bound = +inf under the clamp cascade (every finite positive passes, NaN
-  // maps to 0), with counting off — the unfused relu never counts either.
-  static constexpr float kInf = std::numeric_limits<float>::infinity();
-  const ag::ClampSpec none{&kInf, 1, ag::ClipMode::zero_above, false};
-  if (op.site == nullptr) return none;
+  if (op.site == nullptr) return e;  // a projection's conv -> BN
   const core::BoundedActivation& site = *op.site;
   require_serving_site(site, op.label);
   // An int8 op was quantized under its site's bounds (they fixed the
@@ -1140,19 +1083,60 @@ ag::ClampSpec InferencePlan::fused_clamp_spec(const Op& op) {
         "' lost the bounded clamp scheme it was quantized under; "
         "recompile the plan after re-protection");
   }
-  if (site.scheme() == core::Scheme::relu) return none;
+  e.act = kern::EpilogueAct::clamp;
+  if (site.scheme() == core::Scheme::relu) {
+    // Plain ReLU is the clip cascade under a +inf bound, uncounted: every
+    // finite positive passes and NaN maps to 0, exactly relu_forward.
+    static constexpr float kInf = std::numeric_limits<float>::infinity();
+    e.bound = &kInf;
+    return e;
+  }
   const Tensor& bt = checked_bounds(site, op.fb);
-  return {bt.data(), bt.numel(),
-          site.scheme() == core::Scheme::ranger ? ag::ClipMode::saturate
-                                                : ag::ClipMode::zero_above,
-          site.clamp_counting()};
+  e.bound = bt.data();
+  // FeatureBroadcast::map's order: a bound per feature, one bound, else
+  // one per channel.
+  e.broadcast = bt.numel() == op.fb.feat ? kern::BoundBroadcast::neuron
+                : bt.numel() == 1        ? kern::BoundBroadcast::layer
+                                         : kern::BoundBroadcast::channel;
+  e.saturate = site.scheme() == core::Scheme::ranger;
+  if (site.scheme() == core::Scheme::fitrelu) {
+    e.act = kern::EpilogueAct::fitrelu;
+    e.k = site.steepness();
+  }
+  e.count = site.clamp_counting();
+  return e;
+}
+
+void InferencePlan::run_fused(const Op& op, std::int64_t batch,
+                              const float* x, const float* shortcut,
+                              float* scratch, float* o) {
+  const kern::Epilogue e = resolve_epilogue(op);
+  const bool is_conv = op.kind == PlanBuilder::OpKind::fused_conv2d;
+  const std::int64_t channels = is_conv ? op.out_c : op.out_f;
+  const std::int64_t hw = is_conv ? op.geo.col_cols() : 1;
+  std::uint64_t events = 0;
+  // The GEMM leaves each sample's pre-bias output in its slot, and the
+  // epilogue finishes it in place while it is cache-hot.
+  const auto finish = [&](float* os) {
+    kern::Epilogue es = e;
+    if (shortcut != nullptr) es.shortcut = shortcut + (os - o);
+    events += kern::epilogue(os, os, channels, hw, es);
+  };
+  if (is_conv) {
+    ag::conv2d_forward_batch(op.geo, op.out_c, batch, x, op.weight.data(),
+                             nullptr, scratch, o, finish);
+  } else {
+    ag::linear_forward(batch, op.in_f, op.out_f, x, op.weight.data(), nullptr,
+                       scratch, o);
+    for (std::int64_t s = 0; s < batch; ++s) finish(o + s * channels);
+  }
+  count_events(op.site, e, events, batch * channels * hw);
 }
 
 void InferencePlan::run_int8_conv(const Op& op, std::int64_t batch,
                                   const float* x, const float* shortcut,
                                   float* o) {
-  core::BoundedActivation* site = op.site;
-  const ag::ClampSpec spec = fused_clamp_spec(op);
+  const kern::Epilogue e = resolve_epilogue(op);
   const Conv2dGeometry& g = op.geo;
   const quant::Int8Weights& q8 = *op.q8;
   const std::int64_t hw = g.col_cols();
@@ -1160,9 +1144,6 @@ void InferencePlan::run_int8_conv(const Op& op, std::int64_t batch,
   const std::int64_t in_stride = g.in_channels * in_hw;
   const std::int64_t out_stride = op.out_c * hw;
   const std::int64_t ckk_pad = q8.cols_padded;
-  const bool per_neuron = spec.bound_numel == out_stride;
-  const float* b = op.bias.defined() ? op.bias.data() : nullptr;
-  const bool has_bn = op.gamma.defined();
   // A pointwise conv's HWC image, rows padded to ckk_pad, is already its
   // im2row patch matrix; other convs gather patches from the HWC image.
   const bool pointwise = is_pointwise(g);
@@ -1189,50 +1170,20 @@ void InferencePlan::run_int8_conv(const Op& op, std::int64_t batch,
       kern::gemm_i8_dot(op.out_c, hw, ckk_pad, q8.q.data(), ckk_pad, patches,
                         ckk_pad, acc, hw);
     }
-    // Finish each output plane in one pass, in eager order: dequantize +
-    // bias, BN, residual add, clamp.
-    for (std::int64_t c = 0; c < op.out_c; ++c) {
-      kern::DequantPlane e;
-      e.scale = q8.combined[static_cast<std::size_t>(c)];
-      e.bias = b != nullptr ? b[c] : 0.0f;
-      float bn[4] = {};
-      if (has_bn) {
-        bn[0] = op.running_mean.data()[c];
-        bn[1] = 1.0f / std::sqrt(op.running_var.data()[c] + op.eps);
-        bn[2] = op.gamma.data()[c];
-        bn[3] = op.beta.data()[c];
-        e.bn = bn;
-      }
-      if (shortcut != nullptr) {
-        e.shortcut = shortcut + s * out_stride + c * hw;
-      }
-      if (site != nullptr) {
-        e.bound = spec.bound + (per_neuron ? c * hw
-                                           : (spec.bound_numel == 1 ? 0 : c));
-        e.bound_per_element = per_neuron;
-        e.saturate = spec.mode == ag::ClipMode::saturate;
-        e.count = spec.count;
-      }
-      events += kern::dequant_plane(acc + c * hw, hw, e);
-    }
+    kern::Epilogue es = e;
+    if (shortcut != nullptr) es.shortcut = shortcut + s * out_stride;
+    events += kern::dequant_plane(acc, op.out_c, hw, es);
   }
-  if (spec.count) {
-    site->add_clamp_counts(events,
-                           static_cast<std::uint64_t>(batch * out_stride));
-  }
+  count_events(op.site, e, events, batch * out_stride);
 }
 
 void InferencePlan::run_int8_linear(const Op& op, std::int64_t batch,
                                     const float* x, float* o) {
-  core::BoundedActivation* site = op.site;
-  const ag::ClampSpec spec = fused_clamp_spec(op);
-  const bool saturate = spec.mode == ag::ClipMode::saturate;
+  const kern::Epilogue e = resolve_epilogue(op);
   const quant::Int8Weights& q8 = *op.q8;
-  const float* b = op.bias.defined() ? op.bias.data() : nullptr;
   std::int8_t* const qbuf = scratch_i8_.get();
   // Quantize the batch rows (zero-padding each row's block tail), one GEMM
-  // for the whole batch, then the per-row epilogue with per-channel
-  // combined scales.
+  // for the whole batch, then the epilogue per row.
   const std::int64_t in_f_pad = q8.cols_padded;
   for (std::int64_t s = 0; s < batch; ++s) {
     kern::quantize_i8(x + s * op.in_f, q8.inv_act_scale, qbuf + s * in_f_pad,
@@ -1253,21 +1204,9 @@ void InferencePlan::run_int8_linear(const Op& op, std::int64_t batch,
   }
   std::uint64_t events = 0;
   for (std::int64_t s = 0; s < batch; ++s) {
-    std::int32_t* row = acc + s * op.out_f;
-    if (spec.bound_numel == 1) {
-      events += kern::fused_dequant_clip_rc(row, q8.combined.data(), b,
-                                            spec.bound[0], saturate, op.out_f,
-                                            spec.count);
-    } else {
-      events += kern::fused_dequant_clip_rr(row, q8.combined.data(), b,
-                                            spec.bound, saturate, op.out_f,
-                                            spec.count);
-    }
+    events += kern::dequant_plane(acc + s * op.out_f, op.out_f, 1, e);
   }
-  if (spec.count) {
-    site->add_clamp_counts(events,
-                           static_cast<std::uint64_t>(batch * op.out_f));
-  }
+  count_events(op.site, e, events, batch * op.out_f);
 }
 
 void InferencePlan::restore_int8_weights() {

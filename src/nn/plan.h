@@ -13,17 +13,20 @@
 //             plan because they write through that same storage.
 //   fuse      A peephole pass (on by default; compile's `fuse` flag)
 //             folds each conv2d/linear with the ops that consume only its
-//             output into one fused op whose epilogue runs on the GEMM
-//             output: conv/linear -> clamp, conv -> BatchNorm -> clamp,
-//             conv -> BatchNorm with no clamp (a projection shortcut), and
-//             a residual block's tail conv -> BatchNorm -> add(., shortcut)
-//             -> clamp. The folded intermediates never occupy an arena
-//             slot. The epilogue runs the exact per-element float sequence
-//             of the unfused ops (bias, BatchNorm, add, clamp), so fusion
-//             preserves the plan-vs-eager bit-identity contract; the
-//             activation site is still read at execute time, so
-//             re-protection after compile stays visible exactly as on the
-//             unfused path.
+//             output into one fused op: conv/linear -> activation,
+//             conv -> BatchNorm -> activation, conv -> BatchNorm with no
+//             activation (a projection shortcut), and a residual block's
+//             tail conv -> BatchNorm -> add(., shortcut) -> activation.
+//             The folded intermediates never occupy an arena slot. Every
+//             fused op executes as its GEMM followed by one kern::epilogue
+//             (or, int8, kern::dequant_plane) pass over each sample's
+//             output, described by the kern::Epilogue that
+//             resolve_epilogue builds from the op's parameters and site.
+//             The epilogue runs the exact per-element float sequence of
+//             the unfused ops (bias, BatchNorm, add, clamp or FitReLU), so
+//             fusion preserves the plan-vs-eager bit-identity contract;
+//             the site is resolved on every execute, so re-protection
+//             after compile stays visible exactly as on the unfused path.
 //   plan      A liveness pass assigns every intermediate value an offset in
 //             one pre-sized activation arena (first-fit over live ranges,
 //             which degenerates to ping-pong for chain models), with a
@@ -58,6 +61,7 @@
 #include "autograd/op_kernels.h"
 #include "nn/module.h"
 #include "quant/int8.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -71,10 +75,10 @@ namespace fitact::nn {
 ///
 /// int8 converts every fused conv/linear op whose input range is statically
 /// known (see compile()'s input_range and the bound-derived range
-/// propagation in plan.cpp) to block-quantized int8 GEMM. One per-plane
-/// epilogue finishes each int8 conv while the plane is cache-hot:
-/// dequantize + bias, then the op's optional BatchNorm, residual add and
-/// bound clamp (with clamp-event counting). An op needs no clamp of its
+/// propagation in plan.cpp) to block-quantized int8 GEMM. One epilogue pass
+/// (kern::dequant_plane) finishes each sample's int8 conv planes or linear
+/// row while they are cache-hot: dequantize + bias, then the op's optional
+/// BatchNorm, residual add and bound clamp (with clamp-event counting). An op needs no clamp of its
 /// own to qualify: a projection shortcut (conv -> BN) reads a clamp output,
 /// so it converts, and only its output range is left unknown — the
 /// residual tail that adds it needs just its own input's range. Ops that
@@ -165,8 +169,8 @@ class PlanBuilder {
     // epilogue runs on the GEMM output. The op's fields say which steps it
     // runs, in eager order: bias (bias defined), a folded eval-mode
     // BatchNorm (gamma defined), a residual add of value in1 (in1 >= 0),
-    // then a bound clamp (site non-null). InferencePlan::fuse_ops lists the
-    // shapes that produce them.
+    // then the site's activation (site non-null). InferencePlan::fuse_ops
+    // lists the shapes that produce them.
     fused_conv2d,
     fused_linear,
     // Quantization-pass products (Precision::int8): the same epilogue after
@@ -327,10 +331,13 @@ class InferencePlan {
 
   void fuse_ops();
   void quantize_ops(float input_range);
-  /// The clamp a fused op's epilogue applies, resolved from its site now.
-  static ag::ClampSpec fused_clamp_spec(const Op& op);
-  /// Execute bodies of the fused kinds (`shortcut` is null without a
-  /// residual add).
+  /// The epilogue finishing `op` (a fused conv/linear or an activation),
+  /// resolved from its parameters and activation site now. Throws
+  /// std::logic_error when the site left clean serving mode or an int8 op
+  /// lost the clamp it was quantized under.
+  kern::Epilogue resolve_epilogue(const Op& op);
+  /// Execute bodies of the fused kinds: GEMM, then the epilogue
+  /// (`shortcut` is null without a residual add).
   void run_fused(const Op& op, std::int64_t batch, const float* x,
                  const float* shortcut, float* scratch, float* o);
   void run_int8_conv(const Op& op, std::int64_t batch, const float* x,
@@ -353,6 +360,8 @@ class InferencePlan {
   Precision precision_ = Precision::fp32;
   std::int64_t max_batch_ = 0;
   std::size_t scratch_floats_ = 0;
+  /// resolve_epilogue's planar BatchNorm values of the op running now.
+  std::vector<float> bn_planar_;
   std::size_t scratch_i8_bytes_ = 0;
   std::unique_ptr<std::int8_t[]> scratch_i8_;
   std::vector<Bucket> buckets_;

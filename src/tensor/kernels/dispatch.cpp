@@ -227,28 +227,9 @@ void fitrelu_backward(const float* x, const float* g, const float* lambda,
                                   dlambda, n);
 }
 
-std::uint64_t fused_bias_clip_cc(float* o, float bias, float bound,
-                                 bool saturate, std::int64_t n,
-                                 bool count) noexcept {
-  return active_table().fused_bias_clip_cc(o, bias, bound, saturate, n, count);
-}
-
-std::uint64_t fused_bias_clip_cr(float* o, float bias, const float* bound,
-                                 bool saturate, std::int64_t n,
-                                 bool count) noexcept {
-  return active_table().fused_bias_clip_cr(o, bias, bound, saturate, n, count);
-}
-
-std::uint64_t fused_bias_clip_rc(float* o, const float* bias, float bound,
-                                 bool saturate, std::int64_t n,
-                                 bool count) noexcept {
-  return active_table().fused_bias_clip_rc(o, bias, bound, saturate, n, count);
-}
-
-std::uint64_t fused_bias_clip_rr(float* o, const float* bias,
-                                 const float* bound, bool saturate,
-                                 std::int64_t n, bool count) noexcept {
-  return active_table().fused_bias_clip_rr(o, bias, bound, saturate, n, count);
+std::uint64_t epilogue(const float* x, float* o, std::int64_t channels,
+                       std::int64_t hw, const Epilogue& e) noexcept {
+  return active_table().epilogue(x, o, channels, hw, e);
 }
 
 void gemm_i8_dot(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -275,25 +256,9 @@ void quantize_hwc_i8(const float* x, float inv_scale, std::int8_t* q,
   active_table().quantize_hwc_i8(x, inv_scale, q, channels, hw, row_stride);
 }
 
-std::uint64_t dequant_plane(std::int32_t* acc, std::int64_t n,
-                            const DequantPlane& e) noexcept {
-  return active_table().dequant_plane(acc, n, e);
-}
-
-std::uint64_t fused_dequant_clip_rc(std::int32_t* acc, const float* scale,
-                                    const float* bias, float bound,
-                                    bool saturate, std::int64_t n,
-                                    bool count) noexcept {
-  return active_table().fused_dequant_clip_rc(acc, scale, bias, bound, saturate,
-                                              n, count);
-}
-
-std::uint64_t fused_dequant_clip_rr(std::int32_t* acc, const float* scale,
-                                    const float* bias, const float* bound,
-                                    bool saturate, std::int64_t n,
-                                    bool count) noexcept {
-  return active_table().fused_dequant_clip_rr(acc, scale, bias, bound, saturate,
-                                              n, count);
+std::uint64_t dequant_plane(std::int32_t* acc, std::int64_t channels,
+                            std::int64_t hw, const Epilogue& e) noexcept {
+  return active_table().dequant_plane(acc, channels, hw, e);
 }
 
 }  // namespace fitact::kern

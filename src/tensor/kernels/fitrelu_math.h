@@ -1,8 +1,9 @@
-// Internal to src/tensor/kernels/: the scalar FitReLU arithmetic both
-// backends share. kernels_scalar.cpp runs it as the reference; the AVX2
-// lanes in kernels_avx2.cpp evaluate the identical operation sequence
-// (same constants, same explicit FMAs, same order), and its scalar tails
-// call these functions directly — which is what makes the two backends
+// Internal to src/tensor/kernels/: the scalar FitReLU arithmetic, and the
+// per-element steps of the fused conv/linear epilogue, that both backends
+// share. kernels_scalar.cpp runs them as the reference; the AVX2 lanes in
+// kernels_avx2.cpp evaluate the identical operation sequence (same
+// constants, same explicit FMAs, same order), and its scalar tails call
+// these functions directly — which is what makes the two backends
 // bit-identical.
 //
 // Everything here has internal linkage (anonymous namespace): the header is
@@ -13,6 +14,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+
+#include "tensor/kernels/kernels.h"
 
 namespace fitact::kern {
 namespace {
@@ -164,6 +167,30 @@ inline void fitrelu_grad_span_rowwise(const float* x, const float* g,
     if (dx != nullptr) dx[i] += d.dx;
     if (dlambda != nullptr) dlambda[i] += d.dl;
   }
+}
+
+// ---- the fused epilogue's per-element steps ---------------------------------
+
+/// kernels.h's Epilogue steps after the bias add, for element i of channel
+/// c of a [channels, hw] block: BatchNorm, +shortcut, the count, then the
+/// clamp or FitReLU. Returns the element's output.
+inline float epilogue_steps(float v, std::int64_t c, std::int64_t i,
+                            std::int64_t channels, const Epilogue& e,
+                            std::uint64_t& events) noexcept {
+  if (e.bn != nullptr) {
+    v = (v - e.bn[c]) * e.bn[channels + c] * e.bn[2 * channels + c] +
+        e.bn[3 * channels + c];
+  }
+  if (e.shortcut != nullptr) v = v + e.shortcut[i];
+  if (e.act == EpilogueAct::none) return v;
+  const float b = e.bound[e.broadcast == BoundBroadcast::layer     ? 0
+                          : e.broadcast == BoundBroadcast::channel ? c
+                                                                   : i];
+  if (e.count) events += v > b;
+  if (e.act == EpilogueAct::fitrelu) return fitrelu_elem(v, b, e.k);
+  if (v <= 0.0f) return 0.0f;
+  if (v <= b) return v;
+  return e.saturate ? b : 0.0f;  // NaN lands here: both compares fail
 }
 
 }  // namespace

@@ -37,25 +37,15 @@ struct KernelTable {
                            std::int64_t feat, std::int64_t hw, float k,
                            float* dx, float* dlambda,
                            std::int64_t n) noexcept;
-  // Fused GEMM epilogues (bias + bound-clamp + optional event count in one
-  // pass over the output while it is still cache-hot): const/rowwise bias x
-  // const/rowwise bound. See kernels.h for the exact per-element contract.
-  std::uint64_t (*fused_bias_clip_cc)(float* o, float bias, float bound,
-                                      bool saturate, std::int64_t n,
-                                      bool count) noexcept;
-  std::uint64_t (*fused_bias_clip_cr)(float* o, float bias, const float* bound,
-                                      bool saturate, std::int64_t n,
-                                      bool count) noexcept;
-  std::uint64_t (*fused_bias_clip_rc)(float* o, const float* bias, float bound,
-                                      bool saturate, std::int64_t n,
-                                      bool count) noexcept;
-  std::uint64_t (*fused_bias_clip_rr)(float* o, const float* bias,
-                                      const float* bound, bool saturate,
-                                      std::int64_t n, bool count) noexcept;
-  // Int8 quantized path (kernels_scalar_i8.cpp / kernels_avx2_i8.cpp). The
-  // GEMM accumulates exactly in int32, so backends are bit-identical; the
-  // dequantize epilogues avoid FMA so the whole int8 path stays bit-identical
-  // across backends too. Contracts in kernels.h.
+  // The fused conv/linear epilogue (kernels.h's Epilogue steps over one
+  // sample's [channels, hw] block, x == o allowed).
+  std::uint64_t (*epilogue)(const float* x, float* o, std::int64_t channels,
+                            std::int64_t hw, const Epilogue& e) noexcept;
+  // Int8 quantized path (kernels_scalar_i8.cpp / kernels_avx2_i8.cpp; the
+  // dequant_plane epilogue sits with the fp32 epilogue it shares its steps
+  // with). The GEMM accumulates exactly in int32, so backends are
+  // bit-identical; the epilogue avoids FMA so the whole int8 path stays
+  // bit-identical across backends too. Contracts in kernels.h.
   void (*gemm_i8_dot)(std::int64_t m, std::int64_t n, std::int64_t k,
                       const std::int8_t* a, std::int64_t lda,
                       const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
@@ -77,16 +67,8 @@ struct KernelTable {
   void (*quantize_hwc_i8)(const float* x, float inv_scale, std::int8_t* q,
                           std::int64_t channels, std::int64_t hw,
                           std::int64_t row_stride) noexcept;
-  std::uint64_t (*dequant_plane)(std::int32_t* acc, std::int64_t n,
-                                 const DequantPlane& e) noexcept;
-  std::uint64_t (*fused_dequant_clip_rc)(std::int32_t* acc, const float* scale,
-                                         const float* bias, float bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept;
-  std::uint64_t (*fused_dequant_clip_rr)(std::int32_t* acc, const float* scale,
-                                         const float* bias, const float* bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept;
+  std::uint64_t (*dequant_plane)(std::int32_t* acc, std::int64_t channels,
+                                 std::int64_t hw, const Epilogue& e) noexcept;
 };
 
 namespace {
@@ -124,7 +106,7 @@ inline std::uint64_t for_each_bound_span(std::int64_t bound_numel,
 
 }  // namespace
 
-// Int8 backend implementations live in their own translation units
+// The int8 GEMM and quantize kernels live in their own translation units
 // (kernels_scalar_i8.cpp, kernels_avx2_i8.cpp) and are referenced cross-TU
 // by the table initialisers in kernels_scalar.cpp / kernels_avx2.cpp, so —
 // unlike the fp32 kernels — they need external linkage and declarations here.
@@ -142,19 +124,6 @@ void scalar_quantize_i8(const float* x, float inv_scale, std::int8_t* q,
 void scalar_quantize_hwc_i8(const float* x, float inv_scale, std::int8_t* q,
                             std::int64_t channels, std::int64_t hw,
                             std::int64_t row_stride) noexcept;
-std::uint64_t scalar_dequant_plane(std::int32_t* acc, std::int64_t n,
-                                   const DequantPlane& e) noexcept;
-std::uint64_t scalar_fused_dequant_clip_rc(std::int32_t* acc,
-                                           const float* scale,
-                                           const float* bias, float bound,
-                                           bool saturate, std::int64_t n,
-                                           bool count) noexcept;
-std::uint64_t scalar_fused_dequant_clip_rr(std::int32_t* acc,
-                                           const float* scale,
-                                           const float* bias,
-                                           const float* bound, bool saturate,
-                                           std::int64_t n,
-                                           bool count) noexcept;
 
 #if defined(FITACT_HAVE_AVX2_KERNELS)
 void avx2_gemm_i8_dot(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -170,16 +139,6 @@ void avx2_quantize_i8(const float* x, float inv_scale, std::int8_t* q,
 void avx2_quantize_hwc_i8(const float* x, float inv_scale, std::int8_t* q,
                           std::int64_t channels, std::int64_t hw,
                           std::int64_t row_stride) noexcept;
-std::uint64_t avx2_dequant_plane(std::int32_t* acc, std::int64_t n,
-                                 const DequantPlane& e) noexcept;
-std::uint64_t avx2_fused_dequant_clip_rc(std::int32_t* acc, const float* scale,
-                                         const float* bias, float bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept;
-std::uint64_t avx2_fused_dequant_clip_rr(std::int32_t* acc, const float* scale,
-                                         const float* bias, const float* bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept;
 #endif
 
 /// The portable reference backend (kernels_scalar.cpp). Always available;

@@ -11,10 +11,11 @@
 //   count_over_bound        the clamp-event counter alone
 //   fitrelu,                FitReLU (paper Eq. 6) forward with fused
 //   fitrelu_backward        counting, and its post-training backward
-//   fused_bias_clip_*       bias + bound-clamp GEMM epilogues
+//   epilogue                the fp32 conv/linear epilogue: bias, BatchNorm,
+//                           +shortcut, clamp or FitReLU, counting
 //   int8 path               gemm_i8_dot / gemm_i8u8_dot, quantize_i8,
-//                           quantize_hwc_i8, dequant_plane,
-//                           fused_dequant_clip_*
+//                           quantize_hwc_i8, dequant_plane (the same
+//                           epilogue after a dequantize)
 //
 // A process-wide dispatch table binds each entry point to one backend:
 //
@@ -234,43 +235,64 @@ void fitrelu_backward(const float* x, const float* g, const float* lambda,
                       std::int64_t hw, float k, float* dx, float* dlambda,
                       std::int64_t n) noexcept;
 
-// ---- fused GEMM epilogues --------------------------------------------------
+// ---- fused GEMM epilogue ---------------------------------------------------
 //
-// In-place bias-add + bound-clamp (+ optional clamp-event count) over a GEMM
-// output span, used by the plan fusion pass so the pre-activation tensor
-// never round-trips through the arena. Per element, with xi = o[i] + bias
-// and b = the element's bound:
-//   xi <= 0  -> 0
-//   xi <= b  -> xi
-//   else     -> saturate ? b : 0       (NaN lands here: both compares fail)
-// The count (returned when `count` is set, else 0) tallies xi > b — the same
-// statistic clipped_relu reports on the unfused path. The bias add and the
-// clamp are the exact float operations the unfused bias_add_* + clipped_relu
-// sequence performs, in the same order, so fusion stays bit-identical.
-// Suffix encodes the (bias, bound) shapes: c = one constant for the whole
-// span, r = one value per element.
+// One descriptor finishes every conv/linear op of a plan while its output is
+// cache-hot: the GEMM writes the pre-bias output of one sample as a
+// [channels, hw] block (a linear row is the hw = 1 case), and one pass runs
+// the steps below in the eager op order. Every step is the float sequence
+// of the unfused op — a separate IEEE operation each, never fused into an
+// FMA — so a fused plan stays bit-identical to the eager forward.
 
-/// Conv channel plane (scalar bias) under a layer- or channel-granular
-/// bound (one bound value for the span).
-std::uint64_t fused_bias_clip_cc(float* o, float bias, float bound,
-                                 bool saturate, std::int64_t n,
-                                 bool count) noexcept;
+/// The activation step of an Epilogue.
+enum class EpilogueAct : std::uint8_t {
+  none,     ///< no activation (a projection shortcut's conv -> BatchNorm)
+  clamp,    ///< clip cascade: x <= 0 -> 0; x <= b -> x; else saturate ? b : 0
+  fitrelu,  ///< FitReLU with λ = the bound and steepness k (fitrelu above)
+};
 
-/// Conv channel plane (scalar bias) under per-neuron bounds (one bound per
-/// element of the span).
-std::uint64_t fused_bias_clip_cr(float* o, float bias, const float* bound,
-                                 bool saturate, std::int64_t n,
-                                 bool count) noexcept;
+/// How an Epilogue's bound broadcasts over the [channels, hw] block.
+enum class BoundBroadcast : std::uint8_t {
+  layer,    ///< bound[0] for every element
+  channel,  ///< bound[c] for the elements of channel c
+  neuron,   ///< bound[i] for element i of the block
+};
 
-/// Linear output row (elementwise bias) under a layer-granular bound.
-std::uint64_t fused_bias_clip_rc(float* o, const float* bias, float bound,
-                                 bool saturate, std::int64_t n,
-                                 bool count) noexcept;
+/// The steps finishing one sample's [channels, hw] block of a conv/linear
+/// output. Optional steps are skipped when their pointer is null.
+struct Epilogue {
+  /// dequant_plane only: per-channel dequantize factor (never null there).
+  const float* scale = nullptr;
+  /// Per-channel bias; null adds +0.0f (bit-transparent to every step that
+  /// can follow a missing bias).
+  const float* bias = nullptr;
+  /// Folded eval-mode BatchNorm, planar: bn[0*C + c] mean, bn[1*C + c]
+  /// invstd, bn[2*C + c] gamma, bn[3*C + c] beta (C = channels).
+  const float* bn = nullptr;
+  /// Residual shortcut block (channels * hw elements), added after the BN.
+  const float* shortcut = nullptr;
+  EpilogueAct act = EpilogueAct::none;
+  /// Clamp bound or FitReLU λ, broadcast per `broadcast`; unused for none.
+  const float* bound = nullptr;
+  BoundBroadcast broadcast = BoundBroadcast::layer;
+  bool saturate = false;  ///< clamp: over-bound values saturate to the bound
+  float k = 0.0f;         ///< FitReLU steepness
+  bool count = false;     ///< tally elements above their bound
+};
 
-/// Linear output row (elementwise bias) under per-neuron bounds.
-std::uint64_t fused_bias_clip_rr(float* o, const float* bias,
-                                 const float* bound, bool saturate,
-                                 std::int64_t n, bool count) noexcept;
+/// One sample's fp32 conv/linear epilogue: o[i] = steps(x[i]) for the
+/// channels * hw elements (x == o runs in place on the GEMM output). Per
+/// element i of channel c, in the eager op order:
+///   v = x[i] + bias[c]                            (bias add)
+///   v = (v - mean) * invstd * gamma + beta        (BatchNorm, left to right
+///                                                  as in bn_plane_forward)
+///   v = v + shortcut[i]                           (residual add)
+///   count: events += v > b                        (NaN never counts)
+///   clamp: v <= 0 -> 0; v <= b -> v; else saturate ? b : 0 (NaN lands in
+///          else) — or FitReLU: v <= 0 -> +0; else v·σ(k·(b - v))
+/// Returns the tally (0 without an activation or without `count`).
+std::uint64_t epilogue(const float* x, float* o, std::int64_t channels,
+                       std::int64_t hw, const Epilogue& e) noexcept;
 
 // ---- int8 quantized path ---------------------------------------------------
 //
@@ -330,59 +352,14 @@ void quantize_hwc_i8(const float* x, float inv_scale, std::int8_t* q,
                      std::int64_t channels, std::int64_t hw,
                      std::int64_t row_stride) noexcept;
 
-/// The per-plane epilogue of an int8 conv (dequant_plane below): the
-/// channel's dequantize factor and bias, then optional steps, each skipped
-/// when its pointer is null.
-struct DequantPlane {
-  float scale = 0.0f;
-  float bias = 0.0f;
-  /// Folded eval-mode BatchNorm of the channel: {mean, invstd, gamma, beta}.
-  const float* bn = nullptr;
-  /// Residual shortcut plane (n elements) added after the BatchNorm.
-  const float* shortcut = nullptr;
-  /// Clamp bound: bound[0] for the whole plane, or bound[i] per element
-  /// when bound_per_element.
-  const float* bound = nullptr;
-  bool bound_per_element = false;
-  bool saturate = false;
-  bool count = false;  ///< tally elements above their bound
-};
-
-/// One int8 conv output plane, in place over its GEMM accumulator span
-/// (reads int32, writes fp32 to the same bytes), in one pass while the
-/// plane is cache-hot. Per element, in the eager op order:
-///   x = float(acc[i]) * scale + bias       (multiply then add, two IEEE
-///                                            roundings — never fused)
-///   x = (x - mean) * invstd * gamma + beta  (BatchNorm, left to right as
-///                                            in bn_plane_forward)
-///   x = x + shortcut[i]                     (residual add)
-///   clamp: x <= 0 -> 0; x <= b -> x; else saturate ? b : 0 (NaN lands in
-///          else); count tallies x > b
-/// Returns the tally (0 without a bound or without `count`).
-std::uint64_t dequant_plane(std::int32_t* acc, std::int64_t n,
-                            const DequantPlane& e) noexcept;
-
-// Fused dequantize epilogues of int8 linear rows: in place over the GEMM
-// accumulator span, per element with
-//   xi = float(acc[i]) * scale[i] + bias[i]  (multiply then add, two IEEE
-//                                             roundings — never fused)
-// then the identical clamp cascade: xi <= 0 -> 0; xi <= b -> xi; else
-// saturate ? b : 0 (NaN lands in else), count tallies xi > b. The clamp-event
-// statistic feeds the same detector as the fp32 path. Suffix: r = per-element
-// scale/bias rows (a null bias row means bias 0); second letter = bound
-// shape (c = one value, r = one per element).
-
-/// Linear output row (per-element scale/bias rows; bias may be null = 0)
-/// under a layer-granular bound.
-std::uint64_t fused_dequant_clip_rc(std::int32_t* acc, const float* scale,
-                                    const float* bias, float bound,
-                                    bool saturate, std::int64_t n,
-                                    bool count) noexcept;
-
-/// Linear output row under per-neuron bounds.
-std::uint64_t fused_dequant_clip_rr(std::int32_t* acc, const float* scale,
-                                    const float* bias, const float* bound,
-                                    bool saturate, std::int64_t n,
-                                    bool count) noexcept;
+/// The int8 form of epilogue, in place over one sample's [channels, hw]
+/// block of GEMM accumulators (reads int32, writes fp32 to the same bytes)
+/// — an int8 conv's output planes, or an int8 linear's output row with
+/// hw = 1. The first step dequantizes:
+///   v = float(acc[i]) * scale[c] + bias[c]   (multiply then add, two IEEE
+///                                             roundings — never fused)
+/// and the rest are epilogue's steps. Returns the tally.
+std::uint64_t dequant_plane(std::int32_t* acc, std::int64_t channels,
+                            std::int64_t hw, const Epilogue& e) noexcept;
 
 }  // namespace fitact::kern

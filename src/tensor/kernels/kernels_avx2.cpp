@@ -25,6 +25,7 @@
 #if defined(FITACT_HAVE_AVX2_KERNELS)
 
 #include <cmath>
+#include <cstring>
 
 #include <immintrin.h>
 
@@ -433,100 +434,188 @@ void avx2_fitrelu_backward(const float* x, const float* g,
       });
 }
 
-// ---- fused GEMM epilogues --------------------------------------------------
-// Each is addps (the same single IEEE add the unfused bias pass performs)
-// followed by the count8/clip8 pair — so the fused output and event tally
-// stay bit-identical to the unfused bias_add_* + clipped_relu sequence, on
-// this backend and on scalar.
+// ---- fused GEMM epilogue ---------------------------------------------------
+// epilogue and dequant_plane share one body: the steps of fitrelu_math.h's
+// epilogue_steps, eight lanes at a time, with each step one IEEE operation
+// (addps, the BatchNorm's subps/mulps/mulps/addps, addps) ahead of the
+// count8 and clip8 / fitrelu8 of the kernels above. The block is walked
+// flat, so FitReLU stays 8-wide however narrow the channel planes are:
+// whole vectors inside one plane broadcast the channel's parameters, and a
+// vector straddling planes loads them per lane.
 
-std::uint64_t avx2_fused_bias_clip_cc(float* o, float bias, float bound,
-                                      bool saturate, std::int64_t n,
-                                      bool count) noexcept {
+/// The channel-indexed Epilogue values of one vector's lanes.
+struct LaneParams {
+  __m256 scale, bias, mean, invstd, gamma, beta, bound;
+};
+
+/// One step combination. kInt8 reads int32 accumulators in place and
+/// dequantizes them; otherwise `in` is fp32 and may alias `o`.
+template <bool kInt8, bool kBn, bool kAdd, EpilogueAct kAct>
+std::uint64_t epilogue_body(const void* in, float* o, std::int64_t channels,
+                            std::int64_t hw, const Epilogue& e) noexcept {
+  const auto* x = static_cast<const float*>(in);
+  const auto* acc = static_cast<const std::int32_t*>(in);
+  const std::int64_t n = channels * hw;
   const __m256 zero = _mm256_setzero_ps();
-  const __m256 biasv = _mm256_set1_ps(bias);
-  const __m256 bv = _mm256_set1_ps(bound);
-  const __m256 over = saturate ? bv : zero;
+  const __m256 kv = _mm256_set1_ps(e.k);
+  const bool neuron = e.broadcast == BoundBroadcast::neuron;
+  const __m256 layer_bound = kAct != EpilogueAct::none &&
+                                     e.broadcast == BoundBroadcast::layer
+                                 ? _mm256_set1_ps(e.bound[0])
+                                 : zero;
+  // The lanes' channel values, each read through `load` from the start of
+  // its per-channel array.
+  const auto params = [&](const auto& load) {
+    LaneParams p{};
+    if constexpr (kInt8) p.scale = load(e.scale);
+    p.bias = e.bias != nullptr ? load(e.bias) : zero;
+    if constexpr (kBn) {
+      p.mean = load(e.bn);
+      p.invstd = load(e.bn + channels);
+      p.gamma = load(e.bn + 2 * channels);
+      p.beta = load(e.bn + 3 * channels);
+    }
+    if constexpr (kAct != EpilogueAct::none) {
+      p.bound = e.broadcast == BoundBroadcast::channel ? load(e.bound)
+                                                       : layer_bound;
+    }
+    return p;
+  };
   std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = _mm256_add_ps(_mm256_loadu_ps(o + i), biasv);
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(o + i, clip8(xv, bv, over, zero));
+  const auto step = [&](std::int64_t i, const LaneParams& p) {
+    __m256 v;
+    if constexpr (kInt8) {
+      v = _mm256_mul_ps(
+          _mm256_cvtepi32_ps(_mm256_loadu_si256(
+              reinterpret_cast<const __m256i*>(acc + i))),
+          p.scale);
+    } else {
+      v = _mm256_loadu_ps(x + i);
+    }
+    v = _mm256_add_ps(v, p.bias);
+    if constexpr (kBn) {
+      v = _mm256_add_ps(
+          _mm256_mul_ps(_mm256_mul_ps(_mm256_sub_ps(v, p.mean), p.invstd),
+                        p.gamma),
+          p.beta);
+    }
+    if constexpr (kAdd) v = _mm256_add_ps(v, _mm256_loadu_ps(e.shortcut + i));
+    if constexpr (kAct != EpilogueAct::none) {
+      const __m256 b = neuron ? _mm256_loadu_ps(e.bound + i) : p.bound;
+      if (e.count) events += count8(v, b);
+      if constexpr (kAct == EpilogueAct::clamp) {
+        v = clip8(v, b, e.saturate ? b : zero, zero);
+      } else {
+        v = fitrelu8(v, b, kv);
+      }
+    }
+    _mm256_storeu_ps(o + i, v);
+  };
+
+  std::int64_t i = 0;  // element i of the block is element r of channel c
+  std::int64_t c = 0;
+  std::int64_t r = 0;
+  while (i + 8 <= n) {
+    if (r + 8 <= hw) {
+      // Whole vectors inside channel c share its values.
+      const LaneParams p =
+          params([&](const float* a) { return _mm256_set1_ps(a[c]); });
+      const std::int64_t run = (hw - r) & ~std::int64_t{7};
+      for (const std::int64_t end = i + run; i < end; i += 8) step(i, p);
+      r += run;
+      if (r == hw) {
+        r = 0;
+        ++c;
+      }
+      continue;
+    }
+    // The lanes straddle channels: consecutive channels when hw == 1, else
+    // each lane's own.
+    if (hw == 1) {
+      step(i, params([&](const float* a) { return _mm256_loadu_ps(a + c); }));
+    } else {
+      alignas(32) std::int32_t lane_c[8];
+      for (std::int64_t j = 0, lc = c, lr = r; j < 8; ++j) {
+        lane_c[j] = static_cast<std::int32_t>(lc);
+        if (++lr == hw) {
+          lr = 0;
+          ++lc;
+        }
+      }
+      const __m256i idx =
+          _mm256_load_si256(reinterpret_cast<const __m256i*>(lane_c));
+      step(i, params([&](const float* a) {
+             return _mm256_i32gather_ps(a, idx, 4);
+           }));
+    }
+    i += 8;
+    for (r += 8; r >= hw; r -= hw) ++c;
   }
-  const float over_s = saturate ? bound : 0.0f;
+  // The int8 tail reads int32 and writes fp32 to the same bytes, so both
+  // go through std::memcpy rather than type-punned pointers.
   for (; i < n; ++i) {
-    const float xi = o[i] + bias;
-    if (count) events += xi > bound;
-    o[i] = xi <= 0.0f ? 0.0f : (xi <= bound ? xi : over_s);
+    float v;
+    if constexpr (kInt8) {
+      std::int32_t a;
+      std::memcpy(&a, acc + i, sizeof(a));
+      v = static_cast<float>(a) * e.scale[c];
+    } else {
+      v = x[i];
+    }
+    v = epilogue_steps(v + (e.bias != nullptr ? e.bias[c] : 0.0f), c, i,
+                       channels, e, events);
+    std::memcpy(o + i, &v, sizeof(v));
+    if (++r == hw) {
+      r = 0;
+      ++c;
+    }
   }
   return events;
 }
 
-std::uint64_t avx2_fused_bias_clip_cr(float* o, float bias, const float* bound,
-                                      bool saturate, std::int64_t n,
-                                      bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 biasv = _mm256_set1_ps(bias);
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv = _mm256_add_ps(_mm256_loadu_ps(o + i), biasv);
-    const __m256 bv = _mm256_loadu_ps(bound + i);
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(o + i, clip8(xv, bv, saturate ? bv : zero, zero));
+template <bool kInt8, bool kBn, bool kAdd>
+std::uint64_t epilogue_act(const void* in, float* o, std::int64_t channels,
+                           std::int64_t hw, const Epilogue& e) noexcept {
+  switch (e.act) {
+    case EpilogueAct::clamp:
+      return epilogue_body<kInt8, kBn, kAdd, EpilogueAct::clamp>(in, o,
+                                                                 channels, hw,
+                                                                 e);
+    case EpilogueAct::fitrelu:
+      return epilogue_body<kInt8, kBn, kAdd, EpilogueAct::fitrelu>(
+          in, o, channels, hw, e);
+    case EpilogueAct::none:
+      break;
   }
-  for (; i < n; ++i) {
-    const float xi = o[i] + bias;
-    const float bi = bound[i];
-    if (count) events += xi > bi;
-    o[i] = xi <= 0.0f ? 0.0f : (xi <= bi ? xi : (saturate ? bi : 0.0f));
-  }
-  return events;
+  return epilogue_body<kInt8, kBn, kAdd, EpilogueAct::none>(in, o, channels,
+                                                            hw, e);
 }
 
-std::uint64_t avx2_fused_bias_clip_rc(float* o, const float* bias, float bound,
-                                      bool saturate, std::int64_t n,
-                                      bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 bv = _mm256_set1_ps(bound);
-  const __m256 over = saturate ? bv : zero;
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv =
-        _mm256_add_ps(_mm256_loadu_ps(o + i), _mm256_loadu_ps(bias + i));
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(o + i, clip8(xv, bv, over, zero));
+/// One instantiation per step combination keeps the step tests out of the
+/// vector loop.
+template <bool kInt8>
+std::uint64_t dispatch_epilogue(const void* in, float* o,
+                                std::int64_t channels, std::int64_t hw,
+                                const Epilogue& e) noexcept {
+  if (e.bn != nullptr) {
+    return e.shortcut != nullptr
+               ? epilogue_act<kInt8, true, true>(in, o, channels, hw, e)
+               : epilogue_act<kInt8, true, false>(in, o, channels, hw, e);
   }
-  const float over_s = saturate ? bound : 0.0f;
-  for (; i < n; ++i) {
-    const float xi = o[i] + bias[i];
-    if (count) events += xi > bound;
-    o[i] = xi <= 0.0f ? 0.0f : (xi <= bound ? xi : over_s);
-  }
-  return events;
+  return e.shortcut != nullptr
+             ? epilogue_act<kInt8, false, true>(in, o, channels, hw, e)
+             : epilogue_act<kInt8, false, false>(in, o, channels, hw, e);
 }
 
-std::uint64_t avx2_fused_bias_clip_rr(float* o, const float* bias,
-                                      const float* bound, bool saturate,
-                                      std::int64_t n, bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 xv =
-        _mm256_add_ps(_mm256_loadu_ps(o + i), _mm256_loadu_ps(bias + i));
-    const __m256 bv = _mm256_loadu_ps(bound + i);
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(o + i, clip8(xv, bv, saturate ? bv : zero, zero));
-  }
-  for (; i < n; ++i) {
-    const float xi = o[i] + bias[i];
-    const float bi = bound[i];
-    if (count) events += xi > bi;
-    o[i] = xi <= 0.0f ? 0.0f : (xi <= bi ? xi : (saturate ? bi : 0.0f));
-  }
-  return events;
+std::uint64_t avx2_epilogue(const float* x, float* o, std::int64_t channels,
+                            std::int64_t hw, const Epilogue& e) noexcept {
+  return dispatch_epilogue<false>(x, o, channels, hw, e);
+}
+
+std::uint64_t avx2_dequant_plane(std::int32_t* acc, std::int64_t channels,
+                                 std::int64_t hw, const Epilogue& e) noexcept {
+  return dispatch_epilogue<true>(acc, reinterpret_cast<float*>(acc), channels,
+                                 hw, e);
 }
 
 }  // namespace
@@ -539,17 +628,12 @@ const KernelTable& avx2_table() noexcept {
       avx2_count_over_bound,
       avx2_fitrelu,
       avx2_fitrelu_backward,
-      avx2_fused_bias_clip_cc,
-      avx2_fused_bias_clip_cr,
-      avx2_fused_bias_clip_rc,
-      avx2_fused_bias_clip_rr,
+      avx2_epilogue,
       avx2_gemm_i8_dot,
       avx2_gemm_i8u8_dot,
       avx2_quantize_i8,
       avx2_quantize_hwc_i8,
       avx2_dequant_plane,
-      avx2_fused_dequant_clip_rc,
-      avx2_fused_dequant_clip_rr,
   };
   return kTable;
 }

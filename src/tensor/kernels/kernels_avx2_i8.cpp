@@ -21,9 +21,8 @@
 //     0 explicitly because maxps/minps would otherwise leak it as -127.
 //     quantize_hwc_i8 runs the same steps per 16-float run, then only moves
 //     the bytes (a 16x16 in-register transpose), so it rounds identically.
-//   * The dequantize epilogues use mul-then-add (two IEEE roundings), never
-//     FMA, matching scalar float(acc) * scale + bias exactly; dequant_plane's
-//     BatchNorm and residual add are likewise one IEEE op per step.
+//   * The dequantize epilogue, dequant_plane, lives in kernels_avx2.cpp with
+//     the fp32 epilogue whose steps it shares.
 #if defined(FITACT_HAVE_AVX2_KERNELS)
 
 #include <immintrin.h>
@@ -236,27 +235,6 @@ void gemm_i8u8_tile(std::int64_t m, std::int64_t n, std::int64_t k,
   }
 }
 
-// clip8/count8 duplicate kernels_avx2.cpp's helpers (both live in anonymous
-// namespaces; the branch structure must stay in lockstep with the scalar
-// cascade: x <= 0 -> 0; x <= b -> x; else over; NaN -> over path).
-inline __m256 clip8(__m256 x, __m256 b, __m256 over, __m256 zero) noexcept {
-  const __m256 le0 = _mm256_cmp_ps(x, zero, _CMP_LE_OQ);
-  const __m256 leb = _mm256_cmp_ps(x, b, _CMP_LE_OQ);
-  __m256 r = _mm256_blendv_ps(over, x, leb);
-  r = _mm256_blendv_ps(r, zero, le0);
-  return r;
-}
-
-inline std::uint64_t count8(__m256 x, __m256 b) noexcept {
-  return static_cast<std::uint64_t>(__builtin_popcount(static_cast<unsigned>(
-      _mm256_movemask_ps(_mm256_cmp_ps(x, b, _CMP_GT_OQ)))));
-}
-
-/// float(acc) * scale + bias with two roundings (no FMA — see file comment).
-inline __m256 dequant8(__m256i acc, __m256 scale, __m256 bias) noexcept {
-  return _mm256_add_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(acc), scale), bias);
-}
-
 /// Scalar quantize_i8 element (the vector kernels' ragged tails): round to
 /// nearest even, clamp to [-127, 127], NaN -> 0.
 inline std::int8_t quantize_one(float x, float inv_scale) noexcept {
@@ -316,62 +294,6 @@ inline void transpose16x16_epi8(__m128i t[16]) noexcept {
     t[2 * h] = _mm_unpacklo_epi64(c[h], c[8 + h]);
     t[2 * h + 1] = _mm_unpackhi_epi64(c[h], c[8 + h]);
   }
-}
-
-enum : int { kNoBound = 0, kBoundConst = 1, kBoundRow = 2 };
-
-/// avx2_dequant_plane for one combination of steps (see kernels.h for the
-/// per-element sequence; every step is a separate IEEE op, as in the
-/// scalar kernel).
-template <bool kBn, bool kAdd, int kBound>
-std::uint64_t dequant_plane_body(std::int32_t* acc, std::int64_t n,
-                                 const DequantPlane& e) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 sv = _mm256_set1_ps(e.scale);
-  const __m256 biasv = _mm256_set1_ps(e.bias);
-  const float mean = kBn ? e.bn[0] : 0.0f;
-  const float invstd = kBn ? e.bn[1] : 0.0f;
-  const float gamma = kBn ? e.bn[2] : 0.0f;
-  const float beta = kBn ? e.bn[3] : 0.0f;
-  const __m256 meanv = _mm256_set1_ps(mean);
-  const __m256 invstdv = _mm256_set1_ps(invstd);
-  const __m256 gammav = _mm256_set1_ps(gamma);
-  const __m256 betav = _mm256_set1_ps(beta);
-  const float bc = kBound == kBoundConst ? e.bound[0] : 0.0f;
-  const __m256 bcv = _mm256_set1_ps(bc);
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 x = dequant8(loadu_256(acc + i), sv, biasv);
-    if constexpr (kBn) {
-      x = _mm256_add_ps(
-          _mm256_mul_ps(_mm256_mul_ps(_mm256_sub_ps(x, meanv), invstdv),
-                        gammav),
-          betav);
-    }
-    if constexpr (kAdd) x = _mm256_add_ps(x, _mm256_loadu_ps(e.shortcut + i));
-    if constexpr (kBound != kNoBound) {
-      const __m256 bv =
-          kBound == kBoundRow ? _mm256_loadu_ps(e.bound + i) : bcv;
-      if (e.count) events += count8(x, bv);
-      x = clip8(x, bv, e.saturate ? bv : zero, zero);
-    }
-    _mm256_storeu_ps(reinterpret_cast<float*>(acc + i), x);
-  }
-  for (; i < n; ++i) {
-    float x = static_cast<float>(acc[i]) * e.scale + e.bias;
-    if constexpr (kBn) x = (x - mean) * invstd * gamma + beta;
-    if constexpr (kAdd) x = x + e.shortcut[i];
-    if constexpr (kBound != kNoBound) {
-      const float b = kBound == kBoundRow ? e.bound[i] : bc;
-      if (e.count) events += x > b;
-      x = x <= 0.0f ? 0.0f : (x <= b ? x : (e.saturate ? b : 0.0f));
-    }
-    std::int32_t raw;
-    __builtin_memcpy(&raw, &x, sizeof(raw));
-    acc[i] = raw;
-  }
-  return events;
 }
 
 }  // namespace
@@ -648,91 +570,6 @@ void avx2_quantize_hwc_i8(const float* x, float inv_scale, std::int8_t* q,
                   static_cast<std::size_t>(row_stride - channels));
     }
   }
-}
-
-std::uint64_t avx2_dequant_plane(std::int32_t* acc, std::int64_t n,
-                                 const DequantPlane& e) noexcept {
-  // One instantiation per step combination keeps the option tests out of
-  // the vector loop.
-  using Body = std::uint64_t (*)(std::int32_t*, std::int64_t,
-                                 const DequantPlane&) noexcept;
-  static constexpr Body kBodies[2][2][3] = {
-      {{dequant_plane_body<false, false, kNoBound>,
-        dequant_plane_body<false, false, kBoundConst>,
-        dequant_plane_body<false, false, kBoundRow>},
-       {dequant_plane_body<false, true, kNoBound>,
-        dequant_plane_body<false, true, kBoundConst>,
-        dequant_plane_body<false, true, kBoundRow>}},
-      {{dequant_plane_body<true, false, kNoBound>,
-        dequant_plane_body<true, false, kBoundConst>,
-        dequant_plane_body<true, false, kBoundRow>},
-       {dequant_plane_body<true, true, kNoBound>,
-        dequant_plane_body<true, true, kBoundConst>,
-        dequant_plane_body<true, true, kBoundRow>}}};
-  const int bound = e.bound == nullptr
-                        ? kNoBound
-                        : (e.bound_per_element ? kBoundRow : kBoundConst);
-  return kBodies[e.bn != nullptr][e.shortcut != nullptr][bound](acc, n, e);
-}
-
-std::uint64_t avx2_fused_dequant_clip_rc(std::int32_t* acc, const float* scale,
-                                         const float* bias, float bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 bv = _mm256_set1_ps(bound);
-  const __m256 over = saturate ? bv : zero;
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 sv = _mm256_loadu_ps(scale + i);
-    const __m256 biasv = bias != nullptr ? _mm256_loadu_ps(bias + i) : zero;
-    const __m256 xv = dequant8(loadu_256(acc + i), sv, biasv);
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(reinterpret_cast<float*>(acc + i),
-                     clip8(xv, bv, over, zero));
-  }
-  const float over_s = saturate ? bound : 0.0f;
-  for (; i < n; ++i) {
-    const float bi = bias != nullptr ? bias[i] : 0.0f;
-    const float xi = static_cast<float>(acc[i]) * scale[i] + bi;
-    if (count) events += xi > bound;
-    const float r = xi <= 0.0f ? 0.0f : (xi <= bound ? xi : over_s);
-    std::int32_t raw;
-    __builtin_memcpy(&raw, &r, sizeof(raw));
-    acc[i] = raw;
-  }
-  return events;
-}
-
-std::uint64_t avx2_fused_dequant_clip_rr(std::int32_t* acc, const float* scale,
-                                         const float* bias, const float* bound,
-                                         bool saturate, std::int64_t n,
-                                         bool count) noexcept {
-  const __m256 zero = _mm256_setzero_ps();
-  std::uint64_t events = 0;
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 sv = _mm256_loadu_ps(scale + i);
-    const __m256 biasv = bias != nullptr ? _mm256_loadu_ps(bias + i) : zero;
-    const __m256 xv = dequant8(loadu_256(acc + i), sv, biasv);
-    const __m256 bv = _mm256_loadu_ps(bound + i);
-    if (count) events += count8(xv, bv);
-    _mm256_storeu_ps(reinterpret_cast<float*>(acc + i),
-                     clip8(xv, bv, saturate ? bv : zero, zero));
-  }
-  for (; i < n; ++i) {
-    const float bi = bias != nullptr ? bias[i] : 0.0f;
-    const float xi = static_cast<float>(acc[i]) * scale[i] + bi;
-    const float bo = bound[i];
-    if (count) events += xi > bo;
-    const float r =
-        xi <= 0.0f ? 0.0f : (xi <= bo ? xi : (saturate ? bo : 0.0f));
-    std::int32_t raw;
-    __builtin_memcpy(&raw, &r, sizeof(raw));
-    acc[i] = raw;
-  }
-  return events;
 }
 
 }  // namespace fitact::kern

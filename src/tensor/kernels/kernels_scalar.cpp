@@ -7,6 +7,8 @@
 // values injected hardware faults produce; gemm_fuzz_test now pins this).
 #include "tensor/kernels/kernel_table.h"
 
+#include <cstring>
+
 #include "tensor/kernels/fitrelu_math.h"
 
 namespace fitact::kern {
@@ -186,85 +188,44 @@ void scalar_fitrelu_backward(const float* x, const float* g,
       });
 }
 
-// Fused GEMM epilogues: the bias add and the clamp are the same float ops
-// the unfused bias_add_* + clip_span_* sequence performs, in the same order
-// per element — only the store of the pre-activation value is elided. That
-// is what keeps fused plans bit-identical to unfused ones.
-
-std::uint64_t scalar_fused_bias_clip_cc(float* o, float bias, float bound,
-                                        bool saturate, std::int64_t n,
-                                        bool count) noexcept {
+// The fused epilogue, fp32 and int8: load(c, i) yields element i's value
+// before the bias add (the GEMM output, or the accumulator times its
+// channel's dequantize factor) and store(i, v) writes the result.
+template <typename Load, typename Store>
+std::uint64_t epilogue_block(std::int64_t channels, std::int64_t hw,
+                             const Epilogue& e, const Load& load,
+                             const Store& store) noexcept {
   std::uint64_t events = 0;
-  const float over = saturate ? bound : 0.0f;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = o[i] + bias;
-    if (count) events += xi > bound;
-    if (xi <= 0.0f) {
-      o[i] = 0.0f;
-    } else if (xi <= bound) {
-      o[i] = xi;
-    } else {
-      o[i] = over;  // NaN lands here too: both ordered compares fail
+  for (std::int64_t c = 0; c < channels; ++c) {
+    const float bias = e.bias != nullptr ? e.bias[c] : 0.0f;
+    for (std::int64_t i = c * hw; i < (c + 1) * hw; ++i) {
+      store(i, epilogue_steps(load(c, i) + bias, c, i, channels, e, events));
     }
   }
   return events;
 }
 
-std::uint64_t scalar_fused_bias_clip_cr(float* o, float bias,
-                                        const float* bound, bool saturate,
-                                        std::int64_t n, bool count) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = o[i] + bias;
-    const float bi = bound[i];
-    if (count) events += xi > bi;
-    if (xi <= 0.0f) {
-      o[i] = 0.0f;
-    } else if (xi <= bi) {
-      o[i] = xi;
-    } else {
-      o[i] = saturate ? bi : 0.0f;
-    }
-  }
-  return events;
+std::uint64_t scalar_epilogue(const float* x, float* o, std::int64_t channels,
+                              std::int64_t hw, const Epilogue& e) noexcept {
+  return epilogue_block(
+      channels, hw, e, [&](std::int64_t, std::int64_t i) { return x[i]; },
+      [&](std::int64_t i, float v) { o[i] = v; });
 }
 
-std::uint64_t scalar_fused_bias_clip_rc(float* o, const float* bias,
-                                        float bound, bool saturate,
-                                        std::int64_t n, bool count) noexcept {
-  std::uint64_t events = 0;
-  const float over = saturate ? bound : 0.0f;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = o[i] + bias[i];
-    if (count) events += xi > bound;
-    if (xi <= 0.0f) {
-      o[i] = 0.0f;
-    } else if (xi <= bound) {
-      o[i] = xi;
-    } else {
-      o[i] = over;
-    }
-  }
-  return events;
-}
-
-std::uint64_t scalar_fused_bias_clip_rr(float* o, const float* bias,
-                                        const float* bound, bool saturate,
-                                        std::int64_t n, bool count) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float xi = o[i] + bias[i];
-    const float bi = bound[i];
-    if (count) events += xi > bi;
-    if (xi <= 0.0f) {
-      o[i] = 0.0f;
-    } else if (xi <= bi) {
-      o[i] = xi;
-    } else {
-      o[i] = saturate ? bi : 0.0f;
-    }
-  }
-  return events;
+// In place over int32 accumulators: each element is read once as int32 and
+// rewritten as fp32, both through std::memcpy so the read-int32/write-float
+// pair never relies on type-punned pointers.
+std::uint64_t scalar_dequant_plane(std::int32_t* acc, std::int64_t channels,
+                                   std::int64_t hw,
+                                   const Epilogue& e) noexcept {
+  return epilogue_block(
+      channels, hw, e,
+      [&](std::int64_t c, std::int64_t i) {
+        std::int32_t a;
+        std::memcpy(&a, acc + i, sizeof(a));
+        return static_cast<float>(a) * e.scale[c];
+      },
+      [&](std::int64_t i, float v) { std::memcpy(acc + i, &v, sizeof(v)); });
 }
 
 }  // namespace
@@ -277,17 +238,12 @@ const KernelTable& scalar_table() noexcept {
       scalar_count_over_bound,
       scalar_fitrelu,
       scalar_fitrelu_backward,
-      scalar_fused_bias_clip_cc,
-      scalar_fused_bias_clip_cr,
-      scalar_fused_bias_clip_rc,
-      scalar_fused_bias_clip_rr,
+      scalar_epilogue,
       scalar_gemm_i8_dot,
       scalar_gemm_i8u8_dot,
       scalar_quantize_i8,
       scalar_quantize_hwc_i8,
       scalar_dequant_plane,
-      scalar_fused_dequant_clip_rc,
-      scalar_fused_dequant_clip_rr,
   };
   return kTable;
 }

@@ -1,12 +1,8 @@
 // Portable int8 kernels — the reference semantics the AVX2 int8 TU must
 // reproduce bit-for-bit (see the int8 section of kernels.h: exact int32
-// GEMM accumulation, branch-identical quantization, FMA-free epilogues).
-//
-// The dequantize epilogues run in place over a GEMM accumulator span that
-// lives inside the plan's fp32 arena: each element is read once as int32 and
-// rewritten as fp32. Both accesses go through std::memcpy so the
-// read-int32/write-float pair in one loop body never relies on
-// type-punned pointers.
+// GEMM accumulation, branch-identical quantization). The dequantize
+// epilogue, dequant_plane, shares its steps with the fp32 epilogue in
+// kernels_scalar.cpp.
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -16,16 +12,6 @@
 namespace fitact::kern {
 namespace {
 
-inline std::int32_t load_i32(const std::int32_t* p) noexcept {
-  std::int32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void store_f32(std::int32_t* p, float v) noexcept {
-  std::memcpy(p, &v, sizeof(v));
-}
-
 /// One element of quantize_i8: round-to-nearest-even of x * inv_scale,
 /// clamped to [-127, 127], NaN -> 0.
 inline std::int8_t quantize_one(float x, float inv_scale) noexcept {
@@ -34,12 +20,6 @@ inline std::int8_t quantize_one(float x, float inv_scale) noexcept {
   if (r > 127.0f) r = 127.0f;
   if (r < -127.0f) r = -127.0f;
   return static_cast<std::int8_t>(std::lrintf(r));
-}
-
-inline float clip_cascade(float xi, float bi, bool saturate) noexcept {
-  if (xi <= 0.0f) return 0.0f;
-  if (xi <= bi) return xi;
-  return saturate ? bi : 0.0f;  // NaN lands here: both compares fail
 }
 
 }  // namespace
@@ -90,55 +70,6 @@ void scalar_quantize_hwc_i8(const float* x, float inv_scale, std::int8_t* q,
     std::memset(row + channels, 0,
                 static_cast<std::size_t>(row_stride - channels));
   }
-}
-
-std::uint64_t scalar_dequant_plane(std::int32_t* acc, std::int64_t n,
-                                   const DequantPlane& e) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    float x = static_cast<float>(load_i32(acc + i)) * e.scale + e.bias;
-    if (e.bn != nullptr) x = (x - e.bn[0]) * e.bn[1] * e.bn[2] + e.bn[3];
-    if (e.shortcut != nullptr) x = x + e.shortcut[i];
-    if (e.bound != nullptr) {
-      const float b = e.bound[e.bound_per_element ? i : 0];
-      if (e.count) events += x > b;
-      x = clip_cascade(x, b, e.saturate);
-    }
-    store_f32(acc + i, x);
-  }
-  return events;
-}
-
-std::uint64_t scalar_fused_dequant_clip_rc(std::int32_t* acc,
-                                           const float* scale,
-                                           const float* bias, float bound,
-                                           bool saturate, std::int64_t n,
-                                           bool count) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float bi = bias != nullptr ? bias[i] : 0.0f;
-    const float xi = static_cast<float>(load_i32(acc + i)) * scale[i] + bi;
-    if (count) events += xi > bound;
-    store_f32(acc + i, clip_cascade(xi, bound, saturate));
-  }
-  return events;
-}
-
-std::uint64_t scalar_fused_dequant_clip_rr(std::int32_t* acc,
-                                           const float* scale,
-                                           const float* bias,
-                                           const float* bound, bool saturate,
-                                           std::int64_t n,
-                                           bool count) noexcept {
-  std::uint64_t events = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float bi = bias != nullptr ? bias[i] : 0.0f;
-    const float xi = static_cast<float>(load_i32(acc + i)) * scale[i] + bi;
-    const float bv = bound[i];
-    if (count) events += xi > bv;
-    store_f32(acc + i, clip_cascade(xi, bv, saturate));
-  }
-  return events;
 }
 
 }  // namespace fitact::kern

@@ -186,6 +186,32 @@ TEST(CampaignSession, PlanLanesFollowReprotectionAndTouch) {
   }
 }
 
+// Lane plans compile at no more rows than a trial scores: a campaign
+// evaluating 8 samples at batch_size 64 must reproduce the batch_size 8
+// campaign exactly, serially and across lanes.
+TEST(CampaignSession, LanePlansSizedToTheEvaluatedSamples) {
+  ExperimentScale scale = tiny_scale();
+  PreparedModel pm = prepare_model("tinycnn", 10, scale, "", 59);
+  (void)protect_model(pm, core::Scheme::clip_act, scale);
+  EvalConfig wide;
+  wide.batch_size = 64;
+  wide.max_samples = 8;
+  EvalConfig exact;
+  exact.batch_size = 8;
+  exact.max_samples = 8;
+  fault::CampaignConfig cc;
+  cc.bit_error_rate = 1e-4;
+  cc.trials = scale.trials;
+  cc.seed = 81;
+  for (const std::size_t threads : {1u, 2u}) {
+    cc.threads = threads;
+    expect_equal_results(
+        fault::run_campaign(make_campaign_worker_factory(pm, wide), cc),
+        fault::run_campaign(make_campaign_worker_factory(pm, exact), cc),
+        "threads " + std::to_string(threads));
+  }
+}
+
 TEST(CampaignSession, FaultLevelSessionMatchesOneShotEngine) {
   // Pure fault-layer check, no eval stack: a session over synthetic workers
   // must reproduce run_campaign for every run of a multi-rate sweep.

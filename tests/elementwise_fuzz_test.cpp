@@ -1,7 +1,7 @@
 // Cross-backend fuzz of every fp32 elementwise kernel (tensor/kernels/
 // kernels.h): relu, add, the bias adds, clipped_relu in both modes and all
-// three bound extents, count_over_bound, the fused bias+clip epilogues, and
-// FitReLU forward and backward. kernels.h promises these are bit-identical
+// three bound extents, count_over_bound, the fused conv/linear epilogue,
+// and FitReLU forward and backward. kernels.h promises these are bit-identical
 // across the scalar and AVX2 backends, event counts included; this suite
 // runs each one on both and compares bit patterns (a NaN matches any NaN:
 // payloads are outside the contract).
@@ -31,6 +31,7 @@
 #include "autograd/variable.h"
 #include "core/activation.h"
 #include "nn/layers.h"
+#include "epilogue_fuzz.h"
 #include "nn/plan.h"
 #include "tensor/kernels/fitrelu_math.h"
 #include "tensor/kernels/kernels.h"
@@ -207,50 +208,41 @@ TEST(ElementwiseFuzz, ClippedReluAndCountOverBoundEveryExtent) {
   }
 }
 
-TEST(ElementwiseFuzz, FusedBiasClipEpilogues) {
+// The fused conv/linear epilogue over every step combination and every
+// [channels, hw] block of 1..67 (and a few more) elements with hw = 1..9 —
+// planes narrower than, equal to and wider than a vector, so lanes straddle
+// channels. On each backend, in place and into a dirty buffer, it must
+// reproduce the unfused sequence bit-for-bit, and the backends must agree.
+TEST(ElementwiseFuzz, EpilogueMatchesUnfusedSequenceEveryStepCombination) {
+  namespace ef = epilogue_fuzz;
   ut::Rng rng(103);
-  for (std::int64_t n = 1; n <= kMaxLen; ++n) {
-    const std::vector<float> o = fuzz_vec(rng, n);
-    const std::vector<float> bias = fuzz_vec(rng, n, -2.0f, 2.0f);
-    const std::vector<float> bound = fuzz_vec(rng, n, 0.0f, 8.0f);
-    const float bias_c = bias[0];
-    const float bound_c = bound[0];
-    for (const bool saturate : {false, true}) {
-      for (const bool count : {false, true}) {
-        const std::string ctx = " n=" + std::to_string(n) + " saturate=" +
-                                std::to_string(saturate) +
-                                " count=" + std::to_string(count);
-        const auto run = [&](const auto& kernel) {
-          return [&, kernel] {
-            Outcome r{o};
-            r.events = kernel(r.out.data());
-            return r;
-          };
-        };
-        expect_backends_agree(run([&](float* p) {
-                                return kern::fused_bias_clip_cc(
-                                    p, bias_c, bound_c, saturate, n, count);
-                              }),
-                              "fused_bias_clip_cc" + ctx);
-        expect_backends_agree(run([&](float* p) {
-                                return kern::fused_bias_clip_cr(
-                                    p, bias_c, bound.data(), saturate, n,
-                                    count);
-                              }),
-                              "fused_bias_clip_cr" + ctx);
-        expect_backends_agree(run([&](float* p) {
-                                return kern::fused_bias_clip_rc(
-                                    p, bias.data(), bound_c, saturate, n,
-                                    count);
-                              }),
-                              "fused_bias_clip_rc" + ctx);
-        expect_backends_agree(run([&](float* p) {
-                                return kern::fused_bias_clip_rr(
-                                    p, bias.data(), bound.data(), saturate,
-                                    n, count);
-                              }),
-                              "fused_bias_clip_rr" + ctx);
-      }
+  for (std::int64_t hw = 1; hw <= 9; ++hw) {
+    for (std::int64_t channels = 1; channels * hw <= kMaxLen + hw;
+         ++channels) {
+      const ef::Block block = ef::make_block(rng, channels, hw);
+      const std::int64_t n = block.n();
+      const std::vector<float> x = ef::values(rng, n, -4.0f, 12.0f);
+      const float k = rng.next_below(2) == 0 ? 8.0f : 0.5f;
+      ef::for_each_combination(block, k, [&](const kern::Epilogue& e,
+                                             const std::string& ctx) {
+        std::vector<ef::Result> in_place;
+        for (const kern::Backend backend : ef::backends()) {
+          const kern::BackendGuard guard(backend);
+          const std::string where = ctx + " " + kern::backend_name(backend);
+          ef::Result r{x};
+          r.events = kern::epilogue(r.out.data(), r.out.data(), channels, hw,
+                                    e);
+          ef::Result apart{dirty(n)};
+          apart.events = kern::epilogue(x.data(), apart.out.data(), channels,
+                                        hw, e);
+          const ef::Result want = ef::reference(block, e, x);
+          ef::expect_same(r, want, where + " in place");
+          ef::expect_same(apart, want, where + " out of place");
+          in_place.push_back(std::move(r));
+        }
+        ef::expect_same(in_place.back(), in_place.front(),
+                        ctx + " avx2 vs scalar");
+      });
     }
   }
 }

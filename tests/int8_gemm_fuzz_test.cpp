@@ -14,9 +14,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "epilogue_fuzz.h"
 #include "quant/int8.h"
 #include "tensor/kernels/kernels.h"
 #include "util/rng.h"
@@ -323,116 +325,52 @@ TEST(Int8GemmFuzz, QuantizeHwcMatchesQuantizeThenTransposeOnBothBackends) {
   }
 }
 
-/// Every step combination of the conv plane epilogue (BatchNorm, residual
-/// add, no / one / per-element bound) plus the linear row epilogues, scalar
-/// vs AVX2: the written float bit patterns and the clamp-event counts must
-/// match exactly (memcmp over the raw buffers), and the counts must equal a
-/// recount of the per-element sequence kernels.h documents.
-TEST(Int8GemmFuzz, DequantEpiloguesBitIdenticalAcrossBackends) {
+/// dequant_plane over every step combination (tests/epilogue_fuzz.h) and
+/// every [channels, hw] block of 1..67 (and a few more) elements with
+/// hw = 1..9 — conv planes of every width and int8 linear rows (hw = 1).
+/// On each backend it must reproduce the unfused sequence from the
+/// dequantized accumulators bit-for-bit, and the backends must agree.
+/// Accumulators span the whole int32 range.
+TEST(Int8GemmFuzz, DequantPlaneMatchesUnfusedSequenceEveryStepCombination) {
+  namespace ef = epilogue_fuzz;
   ut::Rng rng(20250804);
-  for (const std::int64_t n : {1LL, 5LL, 8LL, 9LL, 24LL, 100LL}) {
-    for (const bool saturate : {false, true}) {
-      for (const bool count : {false, true}) {
-        std::vector<std::int32_t> acc0(static_cast<std::size_t>(n));
-        std::vector<float> scale_row(static_cast<std::size_t>(n));
-        std::vector<float> bias_row(static_cast<std::size_t>(n));
-        std::vector<float> bound_row(static_cast<std::size_t>(n));
-        std::vector<float> shortcut(static_cast<std::size_t>(n));
-        for (auto& v : acc0) v = static_cast<std::int32_t>(
-            rng.next_int(-4000000, 4000000));
-        for (auto& v : scale_row)
-          v = static_cast<float>(rng.next_double() * 2e-5);
-        for (auto& v : bias_row) v = rng.normal() * 0.5f;
-        for (auto& v : bound_row)
-          v = static_cast<float>(rng.next_double() * 4.0);
-        for (auto& v : shortcut)
-          v = static_cast<float>(rng.next_double() * 3.0);
-        const float scale_c = 1.5e-5f;
-        const float bias_c = 0.25f;
-        const float bound_c = 2.0f;
-        // BatchNorm {mean, invstd, gamma, beta}.
-        const float bn[4] = {0.3f, 1.7f, -0.9f, 0.6f};
-
-        // Variants 0..11 are dequant_plane step combinations: bit 0 = BN,
-        // bit 1 = shortcut, (variant >> 2) = no / const / per-element bound.
-        // 12..14 are the linear row epilogues.
-        const auto plane_of = [&](int variant) {
-          kern::DequantPlane e;
-          e.scale = scale_c;
-          e.bias = bias_c;
-          if (variant & 1) e.bn = bn;
-          if (variant & 2) e.shortcut = shortcut.data();
-          const int bound = variant >> 2;
-          if (bound == 1) e.bound = &bound_c;
-          if (bound == 2) e.bound = bound_row.data();
-          e.bound_per_element = bound == 2;
-          e.saturate = saturate;
-          e.count = count;
-          return e;
-        };
-        const auto run = [&](int variant, std::vector<std::int32_t>& acc)
-            -> std::uint64_t {
-          switch (variant) {
-            case 12:
-              return kern::fused_dequant_clip_rc(acc.data(), scale_row.data(),
-                                                 bias_row.data(), bound_c,
-                                                 saturate, n, count);
-            case 13:  // null bias row == all-zero bias
-              return kern::fused_dequant_clip_rc(acc.data(), scale_row.data(),
-                                                 nullptr, bound_c, saturate, n,
-                                                 count);
-            case 14:
-              return kern::fused_dequant_clip_rr(acc.data(), scale_row.data(),
-                                                 bias_row.data(),
-                                                 bound_row.data(), saturate, n,
-                                                 count);
-            default:
-              return kern::dequant_plane(acc.data(), n, plane_of(variant));
-          }
-        };
-        for (int variant = 0; variant <= 14; ++variant) {
-          std::vector<std::vector<std::int32_t>> outs;
-          std::vector<std::uint64_t> events;
-          for (const kern::Backend backend : backends_under_test()) {
-            const kern::BackendGuard guard(backend);
-            std::vector<std::int32_t> acc = acc0;
-            events.push_back(run(variant, acc));
-            outs.push_back(std::move(acc));
-          }
-          EXPECT_EQ(events[0], events[1])
-              << "variant " << variant << " n=" << n << " sat=" << saturate
-              << " count=" << count;
-          EXPECT_EQ(std::memcmp(outs[0].data(), outs[1].data(),
-                                static_cast<std::size_t>(n) * 4),
-                    0)
-              << "variant " << variant << " n=" << n << " sat=" << saturate
-              << " count=" << count;
-          const bool has_bound = variant >= 12 || (variant >> 2) > 0;
-          if (!count || !has_bound) {
-            EXPECT_EQ(events[0], 0u) << "variant " << variant;
-            continue;
-          }
-          // The tally must equal a scalar recount of x > bound.
-          std::uint64_t want = 0;
-          for (std::int64_t i = 0; i < n; ++i) {
-            const std::size_t s = static_cast<std::size_t>(i);
-            float x = 0.0f;
-            float bo = bound_c;
-            if (variant >= 12) {
-              const float bi = variant == 13 ? 0.0f : bias_row[s];
-              x = static_cast<float>(acc0[s]) * scale_row[s] + bi;
-              if (variant == 14) bo = bound_row[s];
-            } else {
-              x = static_cast<float>(acc0[s]) * scale_c + bias_c;
-              if (variant & 1) x = (x - bn[0]) * bn[1] * bn[2] + bn[3];
-              if (variant & 2) x = x + shortcut[s];
-              if ((variant >> 2) == 2) bo = bound_row[s];
-            }
-            want += x > bo;
-          }
-          EXPECT_EQ(events[0], want) << "variant " << variant << " n=" << n;
+  for (std::int64_t hw = 1; hw <= 9; ++hw) {
+    for (std::int64_t channels = 1; channels * hw <= 67 + hw; ++channels) {
+      const ef::Block block = ef::make_block(rng, channels, hw);
+      const std::int64_t n = block.n();
+      std::vector<std::int32_t> acc0(static_cast<std::size_t>(n));
+      for (auto& v : acc0) {
+        switch (rng.next_below(8)) {
+          case 0: v = std::numeric_limits<std::int32_t>::min(); break;
+          case 1: v = std::numeric_limits<std::int32_t>::max(); break;
+          case 2: v = 0; break;
+          default:
+            v = static_cast<std::int32_t>(rng.next_int(-4000000, 4000000));
         }
       }
+      // The dequantized values the unfused sequence starts from.
+      std::vector<float> pre(static_cast<std::size_t>(n));
+      for (std::int64_t i = 0; i < n; ++i) {
+        pre[static_cast<std::size_t>(i)] =
+            static_cast<float>(acc0[static_cast<std::size_t>(i)]) *
+            block.scale[static_cast<std::size_t>(i / hw)];
+      }
+      ef::for_each_combination(block, 8.0f, [&](const kern::Epilogue& e,
+                                                const std::string& ctx) {
+        std::vector<ef::Result> got;
+        for (const kern::Backend backend : ef::backends()) {
+          const kern::BackendGuard guard(backend);
+          std::vector<std::int32_t> acc = acc0;
+          ef::Result r;
+          r.events = kern::dequant_plane(acc.data(), channels, hw, e);
+          r.out.resize(acc.size());
+          std::memcpy(r.out.data(), acc.data(), acc.size() * sizeof(float));
+          ef::expect_same(r, ef::reference(block, e, pre),
+                          ctx + " " + kern::backend_name(backend));
+          got.push_back(std::move(r));
+        }
+        ef::expect_same(got.back(), got.front(), ctx + " avx2 vs scalar");
+      });
     }
   }
 }
