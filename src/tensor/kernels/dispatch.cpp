@@ -87,21 +87,24 @@ Backend startup_backend() noexcept {
   return b;
 }
 
-/// Active table. Memory order: the tables are immutable statics, so relaxed
-/// loads are safe — a racing reader sees either the old or the new backend,
-/// both fully constructed. (Backend switches mid-forward are excluded by
-/// the force_backend contract, not by this pointer.)
+/// Active table. Memory order: the pointer is published with release and
+/// read with acquire, because the VNNI table is built at run time (a
+/// function-local static) and a thread that finds the pointer through
+/// g_table, not through the static's own guard, must also see its
+/// contents. A racing reader sees either the old or the new backend, both
+/// fully constructed. (Backend switches mid-forward are excluded by the
+/// force_backend contract, not by this pointer.)
 std::atomic<const KernelTable*> g_table{nullptr};
 std::atomic<Backend> g_backend{Backend::scalar};
 
 const KernelTable& active_table() noexcept {
-  const KernelTable* t = g_table.load(std::memory_order_relaxed);
+  const KernelTable* t = g_table.load(std::memory_order_acquire);
   if (t != nullptr) return *t;
   // First use (possibly concurrent: both writers install identical values).
   const Backend b = startup_backend();
   g_backend.store(b, std::memory_order_relaxed);
   t = table_for(b);
-  g_table.store(t, std::memory_order_relaxed);
+  g_table.store(t, std::memory_order_release);
   return *t;
 }
 
@@ -169,7 +172,7 @@ const char* backend_name(Backend b) noexcept {
 Backend force_backend(Backend b) noexcept {
   if (b == Backend::avx2 && !cpu_has_avx2_fma()) b = Backend::scalar;
   g_backend.store(b, std::memory_order_relaxed);
-  g_table.store(table_for(b), std::memory_order_relaxed);
+  g_table.store(table_for(b), std::memory_order_release);
   return b;
 }
 

@@ -241,8 +241,10 @@ void fitrelu_backward(const float* x, const float* g, const float* lambda,
 // cache-hot: the GEMM writes the pre-bias output of one sample as a
 // [channels, hw] block (a linear row is the hw = 1 case), and one pass runs
 // the steps below in the eager op order. Every step is the float sequence
-// of the unfused op — a separate IEEE operation each, never fused into an
-// FMA — so a fused plan stays bit-identical to the eager forward.
+// of the unfused op — the bias add, BatchNorm and residual add are separate
+// IEEE operations, never fused into an FMA, and the activation is the
+// standalone kernel's arithmetic — so a fused plan stays bit-identical to
+// the eager forward.
 
 /// The activation step of an Epilogue.
 enum class EpilogueAct : std::uint8_t {
@@ -263,8 +265,8 @@ enum class BoundBroadcast : std::uint8_t {
 struct Epilogue {
   /// dequant_plane only: per-channel dequantize factor (never null there).
   const float* scale = nullptr;
-  /// Per-channel bias; null adds +0.0f (bit-transparent to every step that
-  /// can follow a missing bias).
+  /// Per-channel bias; null adds +0.0f, which can only turn a -0.0 into
+  /// +0.0, a difference no activation passes on.
   const float* bias = nullptr;
   /// Folded eval-mode BatchNorm, planar: bn[0*C + c] mean, bn[1*C + c]
   /// invstd, bn[2*C + c] gamma, bn[3*C + c] beta (C = channels).

@@ -223,12 +223,15 @@ TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
   }
 
   // Both plans read scheme and bounds from the sites at execute time, so
-  // one compiled pair serves every protection configuration.
+  // one compiled pair serves every protection configuration. The first
+  // (Clip-Act's default, per-layer bounds) runs at batch 1 / 3 / 8; the
+  // others at batch 3, which keeps the matrix affordable under TSan.
   struct Config {
     core::Scheme scheme;
     core::Granularity granularity;
   };
   std::vector<Config> configs = {
+      {core::Scheme::clip_act, core::Granularity::per_layer},
       {core::Scheme::relu, core::Granularity::per_layer}};
   for (const core::Scheme scheme :
        {core::Scheme::clip_act, core::Scheme::ranger,
@@ -236,7 +239,10 @@ TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
     for (const core::Granularity g :
          {core::Granularity::per_layer, core::Granularity::per_channel,
           core::Granularity::per_neuron}) {
-      configs.push_back({scheme, g});
+      if (scheme != core::Scheme::clip_act ||
+          g != core::Granularity::per_layer) {
+        configs.push_back({scheme, g});
+      }
     }
   }
   ut::Rng rng(101);
@@ -250,7 +256,10 @@ TEST_P(PlanFusion, FusedPlanMatchesEagerAndUnfusedBitForBit) {
                                      ? kern::Backend::avx2
                                      : kern::Backend::scalar}) {
       const kern::BackendGuard guard(backend);
-      for (const std::int64_t b : {1, 3, 8}) {
+      const std::vector<std::int64_t> batches =
+          &config == configs.data() ? std::vector<std::int64_t>{1, 3, 8}
+                                    : std::vector<std::int64_t>{3};
+      for (const std::int64_t b : batches) {
         const Tensor x = Tensor::randn(Shape{b, 3, 32, 32}, rng);
         const Tensor want = model->forward(Variable(x, false)).value();
         const std::string context =
@@ -280,8 +289,9 @@ INSTANTIATE_TEST_SUITE_P(Zoo, PlanFusion,
 // runs one GEMM over several samples' columns. Each sample of an eager
 // batch of 37 (two full groups of 16 and a partial one) and of plan
 // batches 3 and 8 (fused and unfused) must match that sample run alone at
-// batch 1, bit-for-bit, on both kernel backends. fitrelu covers the
-// producer-then-activation plan branch, clip_act the clamp epilogue.
+// batch 1, bit-for-bit, on both kernel backends. fitrelu and clip_act
+// cover the epilogue's two activations on the 2x2 planes, where its
+// vectors straddle channels.
 TEST(PlanBatchAssembly, GroupedConvSamplesMatchBatchOneBitForBit) {
   constexpr std::int64_t kEager = 37;
   for (const core::Scheme scheme :
