@@ -78,8 +78,9 @@ namespace fitact::nn {
 /// propagation in plan.cpp) to block-quantized int8 GEMM. One epilogue pass
 /// (kern::dequant_plane) finishes each sample's int8 conv planes or linear
 /// row while they are cache-hot: dequantize + bias, then the op's optional
-/// BatchNorm, residual add and bound clamp (with clamp-event counting). An op needs no clamp of its
-/// own to qualify: a projection shortcut (conv -> BN) reads a clamp output,
+/// BatchNorm, residual add and bound clamp (with clamp-event counting). An
+/// op needs no clamp of its own to qualify: a projection shortcut
+/// (conv -> BN) reads a clamp output,
 /// so it converts, and only its output range is left unknown — the
 /// residual tail that adds it needs just its own input's range. Ops that
 /// don't qualify (unknown input ranges, unbounded schemes, FitReLU's
