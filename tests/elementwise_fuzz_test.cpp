@@ -45,22 +45,9 @@ constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
 constexpr std::int64_t kMaxLen = 67;
 
 /// What one kernel call produced: its output buffer(s) and event count.
-struct Outcome {
-  std::vector<float> out;
-  std::uint64_t events = 0;
-};
-
-bool same_bits(float a, float b) {
-  if (std::isnan(a) && std::isnan(b)) return true;
-  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
-}
-
-/// The backends this host executes, scalar first.
-std::vector<kern::Backend> backends() {
-  std::vector<kern::Backend> b = {kern::Backend::scalar};
-  if (kern::avx2_supported()) b.push_back(kern::Backend::avx2);
-  return b;
-}
+using Outcome = epilogue_fuzz::Result;
+using epilogue_fuzz::backends;
+using epilogue_fuzz::same_bits;
 
 /// Runs `call` under the scalar and the AVX2 backend and expects the same
 /// bits and the same count. No-op on hosts without AVX2.
@@ -226,7 +213,7 @@ TEST(ElementwiseFuzz, EpilogueMatchesUnfusedSequenceEveryStepCombination) {
       ef::for_each_combination(block, k, [&](const kern::Epilogue& e,
                                              const std::string& ctx) {
         std::vector<ef::Result> in_place;
-        for (const kern::Backend backend : ef::backends()) {
+        for (const kern::Backend backend : backends()) {
           const kern::BackendGuard guard(backend);
           const std::string where = ctx + " " + kern::backend_name(backend);
           ef::Result r{x};
