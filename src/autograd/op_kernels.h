@@ -93,11 +93,6 @@ inline void relu_forward(const float* x, float* o, std::int64_t n) noexcept {
   kern::relu(x, o, n);
 }
 
-inline void add_forward(const float* a, const float* b, float* o,
-                        std::int64_t n) noexcept {
-  kern::add(a, b, o, n);
-}
-
 /// Bounded ReLU over n contiguous elements (any number of batch rows).
 /// When `count` is set, also returns the number of inputs strictly above
 /// their bound — the clamp-event statistic BoundedActivation feeds the
@@ -270,24 +265,6 @@ inline void bn_plane_forward(const float* x, float* o, std::int64_t hw,
                              float beta) noexcept {
   for (std::int64_t i = 0; i < hw; ++i) {
     o[i] = (x[i] - mu) * invstd * gamma + beta;
-  }
-}
-
-/// Eval-mode batch norm over [B,C,H,W] from running statistics.
-inline void batch_norm2d_eval_forward(std::int64_t batch, std::int64_t ch,
-                                      std::int64_t hw, const float* x,
-                                      const float* gamma, const float* beta,
-                                      const float* running_mean,
-                                      const float* running_var, float eps,
-                                      float* out) noexcept {
-  const std::int64_t plane = ch * hw;
-  for (std::int64_t b = 0; b < batch; ++b) {
-    for (std::int64_t c = 0; c < ch; ++c) {
-      const float mu = running_mean[c];
-      const float is = 1.0f / std::sqrt(running_var[c] + eps);
-      bn_plane_forward(x + b * plane + c * hw, out + b * plane + c * hw, hw,
-                       mu, is, gamma[c], beta[c]);
-    }
   }
 }
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "autograd/variable.h"
 #include "nn/plan.h"
 #include "util/log.h"
 
@@ -57,16 +57,24 @@ double peak_clean_clamp_rate(const PreparedModel& pm, std::int64_t samples) {
     site->set_clamp_counting(true);
   }
 
-  const NoGradGuard no_grad;
+  // One fp32 plan at batch 1, whatever the serving precision: calibration
+  // measures the clamp rate of the fp32 model, so thresholds do not depend
+  // on the lanes' arithmetic. Recording requires eval mode.
   pm.model->set_training(false);
+  const Shape s = pm.test->batch(0, 1, nullptr).shape();
+  const auto plan =
+      nn::InferencePlan::compile(pm.model, Shape{s[1], s[2], s[3]}, 1);
+  Tensor& input = plan->input_view(1);
   // Rejecting samples <= 0 above means this is a pure clamp to the split
   // size, never a silent substitution of a driver default.
   const std::int64_t total = std::min<std::int64_t>(samples, pm.test->size());
   double peak = 0.0;
   for (std::int64_t i = 0; i < total; ++i) {
     core::reset_clamp_counters(sites);
-    std::vector<std::int64_t> labels;
-    (void)pm.model->forward(Variable(pm.test->batch(i, 1, &labels)));
+    const Tensor x = pm.test->batch(i, 1, nullptr);
+    std::memcpy(input.data(), x.data(),
+                sizeof(float) * static_cast<std::size_t>(x.numel()));
+    (void)plan->execute(1);
     peak = std::max(peak, core::peak_site_clamp_rate(sites));
   }
 

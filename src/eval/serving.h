@@ -49,7 +49,10 @@ struct ServeOptions {
 /// std::invalid_argument otherwise; ServeOptions::validate() rejects the
 /// value before it gets here) and is clamped to the test split size.
 /// Enables clamp counting for the measurement and restores the sites'
-/// previous counting state afterwards.
+/// previous counting state afterwards. Runs one fp32 nn::InferencePlan of
+/// pm.model at batch 1 (bit-identical to its eager forward) whatever the
+/// serving precision, so it throws PlanError when pm.model cannot be
+/// recorded.
 [[nodiscard]] double peak_clean_clamp_rate(const PreparedModel& pm,
                                            std::int64_t samples);
 

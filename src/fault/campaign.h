@@ -36,12 +36,10 @@ struct CampaignConfig {
   /// of run_campaign can use more than one lane (each lane needs its own
   /// model replica); results are bit-identical for every value.
   ///
-  /// Utilization note: inside a lane, nested kernel parallelism (GEMM /
-  /// conv parallel_for) runs inline, while at threads = 1 evaluate() fans
-  /// kernels over the global pool. An intermediate setting (e.g. 2 lanes
-  /// on an 8-core host) therefore caps total concurrency at the lane
-  /// count and can be *slower* than serial; use 0 (or >= the core count)
-  /// to saturate the machine.
+  /// Utilization note: every factory lane, the serial one included, runs
+  /// its plan inline on one core, so total concurrency is the lane count:
+  /// use 0 (or >= the core count) to saturate the machine. Using idle
+  /// cores inside a lane is ROADMAP item 3.
   std::size_t threads = 1;
   /// Fault class and bit-range; bit_error_rate above overrides the model's
   /// own rate field. Defaults to the paper's uniform transient bit flips.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -95,13 +94,25 @@ const Tensor& checked_bounds(const core::BoundedActivation& site,
   return bt;
 }
 
-/// Credits `site` with the clamp events of `total` elements when the
-/// epilogue `e` resolved from it counts.
-void count_events(core::BoundedActivation* site, const kern::Epilogue& e,
-                  std::uint64_t events, std::int64_t total) {
-  if (e.count) {
-    site->add_clamp_counts(events, static_cast<std::uint64_t>(total));
-  }
+/// One sample of a value shaped `xs` as the [channels, hw] block an
+/// epilogue runs over: a [C,H,W] value is C planes of H*W elements, any
+/// other value one row (hw = 1).
+ag::FeatureBroadcast epilogue_block(const Shape& xs) {
+  ag::FeatureBroadcast fb;
+  fb.feat = xs.numel();
+  fb.channels = xs.rank() == 3 ? xs[0] : fb.feat;
+  fb.hw = fb.feat / fb.channels;
+  return fb;
+}
+
+/// How a bound of `bound_numel` elements broadcasts over the block `fb`, in
+/// FeatureBroadcast::map's order: a bound per feature, one bound, else one
+/// per channel.
+kern::BoundBroadcast bound_broadcast(std::int64_t bound_numel,
+                                     const ag::FeatureBroadcast& fb) {
+  return bound_numel == fb.feat ? kern::BoundBroadcast::neuron
+         : bound_numel == 1     ? kern::BoundBroadcast::layer
+                                : kern::BoundBroadcast::channel;
 }
 
 /// 1x1, stride-1, unpadded: the conv's patch matrix is its HWC input image.
@@ -226,6 +237,16 @@ PlanValueId PlanBuilder::record_child(const std::string& name, Module& child,
   return out;
 }
 
+PlanValueId PlanBuilder::push(Op op, Shape out_shape) {
+  const auto idx = static_cast<std::int32_t>(ops_.size());
+  op.label = scope_path();
+  op.out = new_value(std::move(out_shape), idx);
+  use(op.in0, idx);
+  if (op.in1 >= 0) use(op.in1, idx);
+  ops_.push_back(std::move(op));
+  return ops_.back().out;
+}
+
 PlanValueId PlanBuilder::conv2d(const Tensor& weight, const Tensor& bias,
                                 std::int64_t stride, std::int64_t padding,
                                 PlanValueId in) {
@@ -239,7 +260,7 @@ PlanValueId PlanBuilder::conv2d(const Tensor& weight, const Tensor& bias,
   }
   Op op;
   op.kind = OpKind::conv2d;
-  op.label = scope_path();
+  op.in0 = in;
   op.geo.in_channels = xs[0];
   op.geo.in_h = xs[1];
   op.geo.in_w = xs[2];
@@ -257,12 +278,9 @@ PlanValueId PlanBuilder::conv2d(const Tensor& weight, const Tensor& bias,
   }
   op.weight = weight;
   op.bias = bias;
-  const auto idx = static_cast<std::int32_t>(ops_.size());
-  op.in0 = in;
-  op.out = new_value(Shape{op.out_c, op.geo.out_h(), op.geo.out_w()}, idx);
-  use(in, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  Shape out{op.out_c, op.geo.out_h(), op.geo.out_w()};
+  op.fb = epilogue_block(out);
+  return push(std::move(op), std::move(out));
 }
 
 PlanValueId PlanBuilder::linear(const Tensor& weight, const Tensor& bias,
@@ -277,7 +295,7 @@ PlanValueId PlanBuilder::linear(const Tensor& weight, const Tensor& bias,
   }
   Op op;
   op.kind = OpKind::linear;
-  op.label = scope_path();
+  op.in0 = in;
   op.in_f = weight.shape()[1];
   op.out_f = weight.shape()[0];
   if (bias.defined() && bias.numel() != op.out_f) {
@@ -286,12 +304,9 @@ PlanValueId PlanBuilder::linear(const Tensor& weight, const Tensor& bias,
   }
   op.weight = weight;
   op.bias = bias;
-  const auto idx = static_cast<std::int32_t>(ops_.size());
-  op.in0 = in;
-  op.out = new_value(Shape{op.out_f}, idx);
-  use(in, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  Shape out{op.out_f};
+  op.fb = epilogue_block(out);
+  return push(std::move(op), std::move(out));
 }
 
 PlanValueId PlanBuilder::batch_norm2d(const Tensor& gamma, const Tensor& beta,
@@ -308,19 +323,15 @@ PlanValueId PlanBuilder::batch_norm2d(const Tensor& gamma, const Tensor& beta,
     fail("batch_norm2d per-channel extent mismatch with input " + xs.str());
   }
   Op op;
-  op.kind = OpKind::batch_norm2d;
-  op.label = scope_path();
+  op.kind = OpKind::epilogue;
+  op.in0 = in;
   op.gamma = gamma;
   op.beta = beta;
   op.running_mean = running_mean;
   op.running_var = running_var;
   op.eps = eps;
-  const auto idx = static_cast<std::int32_t>(ops_.size());
-  op.in0 = in;
-  op.out = new_value(xs, idx);
-  use(in, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  op.fb = epilogue_block(xs);
+  return push(std::move(op), xs);
 }
 
 PlanValueId PlanBuilder::max_pool2d(std::int64_t kernel, std::int64_t stride,
@@ -336,15 +347,10 @@ PlanValueId PlanBuilder::max_pool2d(std::int64_t kernel, std::int64_t stride,
   }
   Op op;
   op.kind = OpKind::max_pool2d;
-  op.label = scope_path();
+  op.in0 = in;
   op.kernel = kernel;
   op.stride = stride;
-  const auto idx = static_cast<std::int32_t>(ops_.size());
-  op.in0 = in;
-  op.out = new_value(Shape{xs[0], oh, ow}, idx);
-  use(in, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  return push(std::move(op), Shape{xs[0], oh, ow});
 }
 
 PlanValueId PlanBuilder::global_avg_pool(PlanValueId in) {
@@ -355,13 +361,8 @@ PlanValueId PlanBuilder::global_avg_pool(PlanValueId in) {
   }
   Op op;
   op.kind = OpKind::global_avg_pool;
-  op.label = scope_path();
-  const auto idx = static_cast<std::int32_t>(ops_.size());
   op.in0 = in;
-  op.out = new_value(Shape{xs[0]}, idx);
-  use(in, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  return push(std::move(op), Shape{xs[0]});
 }
 
 PlanValueId PlanBuilder::flatten(PlanValueId in) {
@@ -376,27 +377,15 @@ PlanValueId PlanBuilder::activation(core::BoundedActivation* site,
                                     PlanValueId in) {
   if (site == nullptr) fail("activation: null site");
   const Shape& xs = value_shape(in);
-  Op op;
-  op.kind = OpKind::activation;
-  op.label = scope_path();
-  op.site = site;
-  if (xs.rank() == 1) {
-    op.fb.feat = xs[0];
-    op.fb.hw = 1;
-    op.fb.channels = xs[0];
-  } else if (xs.rank() == 3) {
-    op.fb.feat = xs[0] * xs[1] * xs[2];
-    op.fb.hw = xs[1] * xs[2];
-    op.fb.channels = xs[0];
-  } else {
+  if (xs.rank() != 1 && xs.rank() != 3) {
     fail("activation expects a rank-1/3 per-sample input, got " + xs.str());
   }
-  const auto idx = static_cast<std::int32_t>(ops_.size());
+  Op op;
+  op.kind = OpKind::epilogue;
   op.in0 = in;
-  op.out = new_value(xs, idx);
-  use(in, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  op.site = site;
+  op.fb = epilogue_block(xs);
+  return push(std::move(op), xs);
 }
 
 PlanValueId PlanBuilder::add(PlanValueId a, PlanValueId b) {
@@ -406,16 +395,11 @@ PlanValueId PlanBuilder::add(PlanValueId a, PlanValueId b) {
     fail("add operand shapes differ: " + as.str() + " vs " + bs.str());
   }
   Op op;
-  op.kind = OpKind::add;
-  op.label = scope_path();
-  const auto idx = static_cast<std::int32_t>(ops_.size());
+  op.kind = OpKind::epilogue;
   op.in0 = a;
   op.in1 = b;
-  op.out = new_value(as, idx);
-  use(a, idx);
-  use(b, idx);
-  ops_.push_back(std::move(op));
-  return ops_.back().out;
+  op.fb = epilogue_block(as);
+  return push(std::move(op), as);
 }
 
 PlanValueId PlanBuilder::noop(const std::string& what, PlanValueId in) {
@@ -496,14 +480,14 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
   std::size_t scratch = 0;
   std::size_t scratch_i8 = 0;
   for (const auto& op : plan->ops_) {
-    if (op.kind == K::conv2d || op.kind == K::fused_conv2d) {
+    if (op.kind == K::conv2d && !op.q8) {
       scratch = std::max(scratch, static_cast<std::size_t>(
                                       ag::conv2d_scratch_floats(
                                           op.geo, op.out_c, max_batch)));
-    } else if (op.kind == K::linear || op.kind == K::fused_linear) {
+    } else if (op.kind == K::linear && !op.q8) {
       scratch =
           std::max(scratch, static_cast<std::size_t>(op.in_f * op.out_f));
-    } else if (op.kind == K::fused_conv2d_int8) {
+    } else if (op.kind == K::conv2d) {
       // One sample's HWC image; a pointwise conv's (rows padded to the
       // block width) is its patch matrix, other convs add the im2row one.
       const auto in_hw = static_cast<std::size_t>(op.geo.in_h * op.geo.in_w);
@@ -516,7 +500,7 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
               : align_up_bytes(in_hw *
                                static_cast<std::size_t>(op.geo.in_channels)) +
                     patch_bytes);
-    } else if (op.kind == K::fused_linear_int8) {
+    } else if (op.kind == K::linear) {
       // Quantized batch rows, padded to the block width.
       scratch_i8 = std::max(
           scratch_i8, static_cast<std::size_t>(max_batch * op.q8->cols_padded));
@@ -541,18 +525,18 @@ std::shared_ptr<InferencePlan> InferencePlan::compile(
 }
 
 void InferencePlan::fuse_ops() {
-  // Peephole over the recorded (pre-liveness) program: fold each conv2d /
-  // linear with the ops that read nothing but its output chain into one
-  // fused op. The folded intermediates go dead — the fused op writes
-  // straight into the last folded op's slot — which is the arena saving
-  // fusion exists for. The liveness checks use the record-time op indices
-  // (this runs before finalize_liveness renumbers anything), so a residual
-  // edge or a later re-read of an intermediate blocks fusion exactly as it
-  // must.
+  // Peephole over the recorded (pre-liveness) program: merge the epilogue
+  // ops that read nothing but a conv2d / linear's output chain into that
+  // op's epilogue. The merged intermediates go dead — the conv/linear
+  // writes straight into the last merged op's slot — which is the arena
+  // saving fusion exists for. The liveness checks use the record-time op
+  // indices (this runs before finalize_liveness renumbers anything), so a
+  // residual edge or a later re-read of an intermediate blocks fusion
+  // exactly as it must.
   //
-  // Every fold is structural, not algebraic: execute replays the exact
-  // eager kernel sequence (conv+bias, BN, add, clamp) on the fused op's
-  // output, so bit-identity and live BN-parameter fault visibility both
+  // Every fold is structural, not algebraic: the merged epilogue runs the
+  // exact per-element sequence of the standalone ones (bias, BN, add,
+  // clamp), so bit-identity and live BN-parameter fault visibility both
   // survive (pre-scaling weights by gamma/sigma would bake BN faults out of
   // the served model).
   using K = PlanBuilder::OpKind;
@@ -563,26 +547,29 @@ void InferencePlan::fuse_ops() {
                static_cast<std::int32_t>(reader) &&
            out_root != v;
   };
-  const auto is_op = [&](std::size_t j, K kind, PlanValueId reads) {
-    return j < ops_.size() && ops_[j].kind == kind && ops_[j].in0 == reads;
+  // Op j is an epilogue op reading `reads` whose step satisfies `step`.
+  const auto is_epilogue = [&](std::size_t j, PlanValueId reads,
+                               bool (*step)(const Op&)) {
+    return j < ops_.size() && ops_[j].kind == K::epilogue &&
+           ops_[j].in0 == reads && step(ops_[j]);
   };
-  const auto absorb = [&](Op& f, const Op& next) {
+  const auto bn_step = [](const Op& e) { return e.gamma.defined(); };
+  const auto act_step = [](const Op& e) { return e.site != nullptr; };
+  // Merge epilogue op `next`, which reads f's output, into f's epilogue;
+  // an add's shortcut is its operand that is not f's output.
+  const auto merge = [&](Op& f, const Op& next) {
+    if (next.gamma.defined()) {
+      f.gamma = next.gamma;
+      f.beta = next.beta;
+      f.running_mean = next.running_mean;
+      f.running_var = next.running_var;
+      f.eps = next.eps;
+    }
+    if (next.in1 >= 0) f.in1 = next.in0 == f.out ? next.in1 : next.in0;
+    if (next.site != nullptr) f.site = next.site;
     values_[static_cast<std::size_t>(f.out)].dead = true;
     f.out = next.out;
     if (!next.label.empty()) f.label += " + " + next.label;
-  };
-  const auto absorb_bn = [&](Op& f, const Op& bn) {
-    f.gamma = bn.gamma;
-    f.beta = bn.beta;
-    f.running_mean = bn.running_mean;
-    f.running_var = bn.running_var;
-    f.eps = bn.eps;
-    absorb(f, bn);
-  };
-  const auto absorb_clamp = [&](Op& f, const Op& act) {
-    f.site = act.site;
-    f.fb = act.fb;
-    absorb(f, act);
   };
 
   // A residual tail's fused op is emitted at its add's position, after the
@@ -603,9 +590,9 @@ void InferencePlan::fuse_ops() {
       if (d.first == at) return none;
     }
     const Op& add = ops_[at];
-    if (add.kind != K::add || add.in0 == add.in1 ||
+    if (add.kind != K::epilogue || add.in1 < 0 || add.in0 == add.in1 ||
         (add.in0 != bn_out && add.in1 != bn_out) ||
-        !is_op(at + 1, K::activation, add.out) ||
+        !is_epilogue(at + 1, add.out, act_step) ||
         !only_read_by(add.out, at + 1)) {
       return none;
     }
@@ -632,29 +619,27 @@ void InferencePlan::fuse_ops() {
     }
     Op& op = ops_[i];
     const bool conv_bn = op.kind == K::conv2d &&
-                         is_op(i + 1, K::batch_norm2d, op.out) &&
+                         is_epilogue(i + 1, op.out, bn_step) &&
                          only_read_by(op.out, i + 1);
     const bool clamp_pair =
         (op.kind == K::conv2d || op.kind == K::linear) &&
-        is_op(i + 1, K::activation, op.out) && only_read_by(op.out, i + 1);
+        is_epilogue(i + 1, op.out, act_step) && only_read_by(op.out, i + 1);
     if (!conv_bn && !clamp_pair) {
       fused.push_back(std::move(op));
       continue;
     }
     Op f = std::move(op);
-    f.kind = f.kind == K::conv2d ? K::fused_conv2d : K::fused_linear;
     ++fused_ops_;
+    merge(f, ops_[i + 1]);
     if (clamp_pair) {  // conv/linear -> clamp
-      absorb_clamp(f, ops_[i + 1]);
       fused.push_back(std::move(f));
       ++i;
       continue;
     }
     const Op& bn = ops_[i + 1];
-    absorb_bn(f, bn);
-    if (is_op(i + 2, K::activation, bn.out) && only_read_by(bn.out, i + 2)) {
+    if (is_epilogue(i + 2, bn.out, act_step) && only_read_by(bn.out, i + 2)) {
       // conv -> BN -> clamp: the ResNet block head.
-      absorb_clamp(f, ops_[i + 2]);
+      merge(f, ops_[i + 2]);
       ++bn_folded_;
       fused.push_back(std::move(f));
       i += 2;
@@ -662,10 +647,8 @@ void InferencePlan::fuse_ops() {
     }
     if (const std::size_t at = tail_add(i + 1, bn.out); at < ops_.size()) {
       // conv -> BN -> add(., shortcut) -> clamp: the residual tail.
-      const Op& add = ops_[at];
-      f.in1 = add.in0 == bn.out ? add.in1 : add.in0;
-      absorb(f, add);
-      absorb_clamp(f, ops_[at + 1]);
+      merge(f, ops_[at]);
+      merge(f, ops_[at + 1]);
       ++bn_folded_;
       ++residual_folded_;
       deferred.emplace_back(at, std::move(f));
@@ -688,7 +671,8 @@ void InferencePlan::quantize_ops(float input_range) {
   // comes from calibration (compile's input_range); a clampable bounded
   // activation emits [0, max(bound)] by construction — FitAct's bounds are
   // what make static activation scales possible at all. Anything a GEMM or
-  // BatchNorm produces is unbounded until the next clamp. A fused op whose
+  // BatchNorm produces is unbounded until the next clamp. A fused op (a
+  // conv/linear whose epilogue merged a BatchNorm or an activation) whose
   // input range is known converts to int8: weights quantize per output
   // channel now, and the input range fixes the activation scale. Its clamp,
   // if it has one, must be the clip cascade the int8 epilogue implements;
@@ -718,14 +702,49 @@ void InferencePlan::quantize_ops(float input_range) {
   const auto set_nonneg = [&](PlanValueId v, bool nn) {
     nonneg[static_cast<std::size_t>(root(v))] = nn ? 1 : 0;
   };
+  // Convert a fused conv/linear whose input range is known, and whose
+  // clamp, if it has one, has a known output range.
+  const auto quantize = [&](Op& op, float out_r) {
+    const float in_r = rng(op.in0);
+    if (in_r <= 0.0f || (op.site != nullptr && out_r <= 0.0f)) return;
+    const bool is_conv = op.kind == K::conv2d;
+    const std::int64_t rows = is_conv ? op.out_c : op.out_f;
+    const std::int64_t cols = is_conv ? op.geo.col_rows() : op.in_f;
+    const float* wsrc = op.weight.data();
+    std::vector<float> wperm;
+    if (is_conv) {
+      // Permute each filter's k-axis from the tensor's [c][kh][kw] to the
+      // [kh][kw][c] order im2row_i8 gathers (see its comment). Per-channel
+      // max-abs is permutation-invariant, so every scale comes out
+      // bit-identical to the unpermuted packing.
+      const std::int64_t ck = op.geo.in_channels;
+      const std::int64_t kh_n = op.geo.kernel_h;
+      const std::int64_t kw_n = op.geo.kernel_w;
+      wperm.resize(static_cast<std::size_t>(rows * cols));
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const float* src = wsrc + r * cols;
+        float* dst = wperm.data() + r * cols;
+        for (std::int64_t c = 0; c < ck; ++c) {
+          for (std::int64_t kh = 0; kh < kh_n; ++kh) {
+            for (std::int64_t kw = 0; kw < kw_n; ++kw) {
+              dst[(kh * kw_n + kw) * ck + c] =
+                  src[(c * kh_n + kh) * kw_n + kw];
+            }
+          }
+        }
+      }
+      wsrc = wperm.data();
+    }
+    op.q8 = std::make_shared<quant::Int8Weights>(
+        quant::quantize_weights_i8(wsrc, rows, cols));
+    op.q8->set_act_scale(in_r / 127.0f);
+    op.q8_in_nonneg = is_nonneg(op.in0);
+    ++int8_ops_;
+  };
   for (auto& op : ops_) {
     switch (op.kind) {
-      case K::conv2d:
-      case K::linear:
-      case K::batch_norm2d:
-        set(op.out, -1.0f);
-        set_nonneg(op.out, false);
-        break;
+      case K::noop:
+        break;  // moves nothing
       case K::max_pool2d:
       case K::global_avg_pool:
         // Max and mean of bounded values stay within the bound (and keep
@@ -733,68 +752,28 @@ void InferencePlan::quantize_ops(float input_range) {
         set(op.out, rng(op.in0));
         set_nonneg(op.out, is_nonneg(op.in0));
         break;
-      case K::add: {
-        const float a = rng(op.in0);
-        const float b = rng(op.in1);
-        set(op.out, a > 0.0f && b > 0.0f ? a + b : -1.0f);
-        set_nonneg(op.out, is_nonneg(op.in0) && is_nonneg(op.in1));
-        break;
-      }
-      case K::activation:
-        set(op.out, site_output_range(op.site));
-        set_nonneg(op.out, true);  // clip cascade output is always in [0, b]
-        break;
-      case K::fused_conv2d:
-      case K::fused_linear: {
+      case K::epilogue:
+        if (op.in1 >= 0) {  // a residual add
+          const float a = rng(op.in0);
+          const float b = rng(op.in1);
+          set(op.out, a > 0.0f && b > 0.0f ? a + b : -1.0f);
+          set_nonneg(op.out, is_nonneg(op.in0) && is_nonneg(op.in1));
+          break;
+        }
+        [[fallthrough]];
+      case K::conv2d:
+      case K::linear: {
+        // A clamp's output is in [0, b]; anything a GEMM or BatchNorm
+        // produces is unbounded.
         const bool clamped = op.site != nullptr;
         const float out_r = clamped ? site_output_range(op.site) : -1.0f;
-        const float in_r = rng(op.in0);
-        if (in_r > 0.0f && (!clamped || out_r > 0.0f)) {
-          const bool is_conv = op.kind == K::fused_conv2d;
-          const std::int64_t rows = is_conv ? op.out_c : op.out_f;
-          const std::int64_t cols = is_conv ? op.geo.col_rows() : op.in_f;
-          const float* wsrc = op.weight.data();
-          std::vector<float> wperm;
-          if (is_conv) {
-            // Permute each filter's k-axis from the tensor's [c][kh][kw] to
-            // the [kh][kw][c] order im2row_i8 gathers (see its comment).
-            // Per-channel max-abs is permutation-invariant, so every scale
-            // comes out bit-identical to the unpermuted packing.
-            const std::int64_t ck = op.geo.in_channels;
-            const std::int64_t kh_n = op.geo.kernel_h;
-            const std::int64_t kw_n = op.geo.kernel_w;
-            wperm.resize(static_cast<std::size_t>(rows * cols));
-            for (std::int64_t r = 0; r < rows; ++r) {
-              const float* src = wsrc + r * cols;
-              float* dst = wperm.data() + r * cols;
-              for (std::int64_t c = 0; c < ck; ++c) {
-                for (std::int64_t kh = 0; kh < kh_n; ++kh) {
-                  for (std::int64_t kw = 0; kw < kw_n; ++kw) {
-                    dst[(kh * kw_n + kw) * ck + c] =
-                        src[(c * kh_n + kh) * kw_n + kw];
-                  }
-                }
-              }
-            }
-            wsrc = wperm.data();
-          }
-          op.q8 = std::make_shared<quant::Int8Weights>(
-              quant::quantize_weights_i8(wsrc, rows, cols));
-          op.q8->set_act_scale(in_r / 127.0f);
-          op.q8_in_nonneg = is_nonneg(op.in0);
-          op.kind = is_conv ? K::fused_conv2d_int8 : K::fused_linear_int8;
-          ++int8_ops_;
+        if (op.kind != K::epilogue && (clamped || op.gamma.defined())) {
+          quantize(op, out_r);
         }
-        // A clamp's output is in [0, b] (same cascade as activation).
         set(op.out, out_r);
         set_nonneg(op.out, clamped);
         break;
       }
-      case K::noop:
-      case K::fused_conv2d_int8:
-      case K::fused_linear_int8:
-      case K::num_kinds:
-        break;  // noop moves nothing; int8 kinds don't exist before this pass
     }
   }
 }
@@ -974,78 +953,74 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
   const auto ptr = [&](PlanValueId v) {
     return base + bk.offsets[static_cast<std::size_t>(v)];
   };
-  const auto numel = [&](PlanValueId v) {
-    return values_[static_cast<std::size_t>(v)].sample_numel;
-  };
 
   for (const auto& op : ops_) {
+    const float* const x = ptr(op.in0);
+    float* const o = ptr(op.out);
+    const float* const shortcut = op.in1 >= 0 ? ptr(op.in1) : nullptr;
+    // One sample's [channels, hw] output block, and the epilogue finishing
+    // it. A GEMM op with no step skips the pass, so a bias-free conv keeps
+    // the GEMM's bits.
+    const std::int64_t channels = op.fb.channels;
+    const std::int64_t plane = channels * op.fb.hw;
+    const bool finish = op.has_epilogue();
+    const kern::Epilogue e = finish ? resolve_epilogue(op) : kern::Epilogue{};
+    std::uint64_t events = 0;
+    // e over sample s's block, from `in` to `out` (the same block when the
+    // epilogue finishes a GEMM output in place).
+    const auto run_epilogue = [&](std::int64_t s, const float* in,
+                                  float* out) {
+      kern::Epilogue es = e;
+      if (shortcut != nullptr) es.shortcut = shortcut + s * plane;
+      events += kern::epilogue(in, out, channels, op.fb.hw, es);
+    };
     switch (op.kind) {
       case K::conv2d:
-        ag::conv2d_forward_batch(op.geo, op.out_c, batch, ptr(op.in0),
-                                 op.weight.data(),
-                                 op.bias.defined() ? op.bias.data() : nullptr,
-                                 scratch, ptr(op.out));
+        if (op.q8) {
+          events = run_int8_conv(op, batch, x, e, shortcut, o);
+          break;
+        }
+        // The GEMM leaves each sample's pre-bias output in its slot, and
+        // the epilogue finishes it in place while it is cache-hot.
+        ag::conv2d_forward_batch(
+            op.geo, op.out_c, batch, x, op.weight.data(), nullptr, scratch, o,
+            [&](float* os) {
+              if (finish) run_epilogue((os - o) / plane, os, os);
+            });
         break;
       case K::linear:
-        ag::linear_forward(batch, op.in_f, op.out_f, ptr(op.in0),
-                           op.weight.data(),
-                           op.bias.defined() ? op.bias.data() : nullptr,
-                           scratch, ptr(op.out));
+        if (op.q8) {
+          events = run_int8_linear(op, batch, x, e, o);
+          break;
+        }
+        ag::linear_forward(batch, op.in_f, op.out_f, x, op.weight.data(),
+                           nullptr, scratch, o);
+        for (std::int64_t s = 0; finish && s < batch; ++s) {
+          run_epilogue(s, o + s * plane, o + s * plane);
+        }
         break;
-      case K::fused_conv2d:
-      case K::fused_linear:
-        run_fused(op, batch, ptr(op.in0),
-                  op.in1 >= 0 ? ptr(op.in1) : nullptr, scratch, ptr(op.out));
+      case K::epilogue:
+        for (std::int64_t s = 0; s < batch; ++s) {
+          run_epilogue(s, x + s * plane, o + s * plane);
+        }
         break;
-      case K::fused_conv2d_int8:
-        run_int8_conv(op, batch, ptr(op.in0),
-                      op.in1 >= 0 ? ptr(op.in1) : nullptr, ptr(op.out));
-        break;
-      case K::fused_linear_int8:
-        run_int8_linear(op, batch, ptr(op.in0), ptr(op.out));
-        break;
-      case K::batch_norm2d: {
-        const Shape& xs = values_[static_cast<std::size_t>(op.in0)].sample_shape;
-        ag::batch_norm2d_eval_forward(batch, xs[0], xs[1] * xs[2], ptr(op.in0),
-                                      op.gamma.data(), op.beta.data(),
-                                      op.running_mean.data(),
-                                      op.running_var.data(), op.eps,
-                                      ptr(op.out));
-        break;
-      }
       case K::max_pool2d: {
         const Shape& xs = values_[static_cast<std::size_t>(op.in0)].sample_shape;
         ag::max_pool2d_forward(batch, xs[0], xs[1], xs[2], op.kernel,
-                               op.stride, ptr(op.in0), ptr(op.out), nullptr);
+                               op.stride, x, o, nullptr);
         break;
       }
       case K::global_avg_pool: {
         const Shape& xs = values_[static_cast<std::size_t>(op.in0)].sample_shape;
-        ag::global_avg_pool_forward(batch, xs[0], xs[1] * xs[2], ptr(op.in0),
-                                    ptr(op.out));
+        ag::global_avg_pool_forward(batch, xs[0], xs[1] * xs[2], x, o);
         break;
       }
-      case K::activation: {
-        // Bias-free epilogue from one slot into another, one sample's
-        // [channels, hw] block at a time.
-        const kern::Epilogue e = resolve_epilogue(op);
-        const std::int64_t feat = numel(op.in0);
-        std::uint64_t events = 0;
-        for (std::int64_t s = 0; s < batch; ++s) {
-          events += kern::epilogue(ptr(op.in0) + s * feat,
-                                   ptr(op.out) + s * feat, op.fb.channels,
-                                   op.fb.hw, e);
-        }
-        count_events(op.site, e, events, batch * feat);
-        break;
-      }
-      case K::add:
-        ag::add_forward(ptr(op.in0), ptr(op.in1), ptr(op.out),
-                        batch * numel(op.out));
-        break;
       case K::noop:
-      case K::num_kinds:
         break;
+    }
+    if (e.count) {
+      op.site->add_clamp_counts(events,
+                                static_cast<std::uint64_t>(batch * plane));
     }
   }
   return output_views_[static_cast<std::size_t>(batch - 1)];
@@ -1059,8 +1034,8 @@ kern::Epilogue InferencePlan::resolve_epilogue(const Op& op) {
   if (op.q8) e.scale = op.q8->combined.data();
   if (op.bias.defined()) e.bias = op.bias.data();
   if (op.gamma.defined()) {
-    // Planar {mean, invstd, gamma, beta}; invstd as batch_norm2d_eval_forward
-    // computes it.
+    // Planar {mean, invstd, gamma, beta}; invstd as the eager eval-mode
+    // BatchNorm computes it.
     const std::int64_t ch = op.gamma.numel();
     float* bn = bn_planar_.data();
     for (std::int64_t c = 0; c < ch; ++c) {
@@ -1071,7 +1046,7 @@ kern::Epilogue InferencePlan::resolve_epilogue(const Op& op) {
     }
     e.bn = bn;
   }
-  if (op.site == nullptr) return e;  // a projection's conv -> BN
+  if (op.site == nullptr) return e;  // no activation step
   const core::BoundedActivation& site = *op.site;
   require_serving_site(site, op.label);
   // An int8 op was quantized under its site's bounds (they fixed the
@@ -1093,11 +1068,7 @@ kern::Epilogue InferencePlan::resolve_epilogue(const Op& op) {
   }
   const Tensor& bt = checked_bounds(site, op.fb);
   e.bound = bt.data();
-  // FeatureBroadcast::map's order: a bound per feature, one bound, else
-  // one per channel.
-  e.broadcast = bt.numel() == op.fb.feat ? kern::BoundBroadcast::neuron
-                : bt.numel() == 1        ? kern::BoundBroadcast::layer
-                                         : kern::BoundBroadcast::channel;
+  e.broadcast = bound_broadcast(bt.numel(), op.fb);
   e.saturate = site.scheme() == core::Scheme::ranger;
   if (site.scheme() == core::Scheme::fitrelu) {
     e.act = kern::EpilogueAct::fitrelu;
@@ -1107,36 +1078,10 @@ kern::Epilogue InferencePlan::resolve_epilogue(const Op& op) {
   return e;
 }
 
-void InferencePlan::run_fused(const Op& op, std::int64_t batch,
-                              const float* x, const float* shortcut,
-                              float* scratch, float* o) {
-  const kern::Epilogue e = resolve_epilogue(op);
-  const bool is_conv = op.kind == PlanBuilder::OpKind::fused_conv2d;
-  const std::int64_t channels = is_conv ? op.out_c : op.out_f;
-  const std::int64_t hw = is_conv ? op.geo.col_cols() : 1;
-  std::uint64_t events = 0;
-  // The GEMM leaves each sample's pre-bias output in its slot, and the
-  // epilogue finishes it in place while it is cache-hot.
-  const auto finish = [&](float* os) {
-    kern::Epilogue es = e;
-    if (shortcut != nullptr) es.shortcut = shortcut + (os - o);
-    events += kern::epilogue(os, os, channels, hw, es);
-  };
-  if (is_conv) {
-    ag::conv2d_forward_batch(op.geo, op.out_c, batch, x, op.weight.data(),
-                             nullptr, scratch, o, finish);
-  } else {
-    ag::linear_forward(batch, op.in_f, op.out_f, x, op.weight.data(), nullptr,
-                       scratch, o);
-    for (std::int64_t s = 0; s < batch; ++s) finish(o + s * channels);
-  }
-  count_events(op.site, e, events, batch * channels * hw);
-}
-
-void InferencePlan::run_int8_conv(const Op& op, std::int64_t batch,
-                                  const float* x, const float* shortcut,
-                                  float* o) {
-  const kern::Epilogue e = resolve_epilogue(op);
+std::uint64_t InferencePlan::run_int8_conv(const Op& op, std::int64_t batch,
+                                           const float* x,
+                                           const kern::Epilogue& e,
+                                           const float* shortcut, float* o) {
   const Conv2dGeometry& g = op.geo;
   const quant::Int8Weights& q8 = *op.q8;
   const std::int64_t hw = g.col_cols();
@@ -1174,12 +1119,13 @@ void InferencePlan::run_int8_conv(const Op& op, std::int64_t batch,
     if (shortcut != nullptr) es.shortcut = shortcut + s * out_stride;
     events += kern::dequant_plane(acc, op.out_c, hw, es);
   }
-  count_events(op.site, e, events, batch * out_stride);
+  return events;
 }
 
-void InferencePlan::run_int8_linear(const Op& op, std::int64_t batch,
-                                    const float* x, float* o) {
-  const kern::Epilogue e = resolve_epilogue(op);
+std::uint64_t InferencePlan::run_int8_linear(const Op& op, std::int64_t batch,
+                                             const float* x,
+                                             const kern::Epilogue& e,
+                                             float* o) {
   const quant::Int8Weights& q8 = *op.q8;
   std::int8_t* const qbuf = scratch_i8_.get();
   // Quantize the batch rows (zero-padding each row's block tail), one GEMM
@@ -1206,7 +1152,7 @@ void InferencePlan::run_int8_linear(const Op& op, std::int64_t batch,
   for (std::int64_t s = 0; s < batch; ++s) {
     events += kern::dequant_plane(acc + s * op.out_f, op.out_f, 1, e);
   }
-  count_events(op.site, e, events, batch * op.out_f);
+  return events;
 }
 
 void InferencePlan::restore_int8_weights() {
@@ -1229,14 +1175,18 @@ std::pair<std::int8_t*, std::size_t> InferencePlan::int8_weight_span(
 }
 
 std::string InferencePlan::summary() const {
-  static constexpr const char* kKindNames[] = {
-      "conv2d",       "linear",           "batch_norm2d",
-      "max_pool2d",   "global_avg_pool",  "activation",
-      "add",          "noop",             "fused_conv2d",
-      "fused_linear", "fused_conv2d_int8", "fused_linear_int8"};
-  static_assert(std::size(kKindNames) ==
-                    static_cast<std::size_t>(PlanBuilder::OpKind::num_kinds),
-                "one summary() name per OpKind");
+  using K = PlanBuilder::OpKind;
+  const auto kind_name = [](K kind) {
+    switch (kind) {
+      case K::conv2d: return "conv2d";
+      case K::linear: return "linear";
+      case K::epilogue: return "epilogue";
+      case K::max_pool2d: return "max_pool2d";
+      case K::global_avg_pool: return "global_avg_pool";
+      case K::noop: return "noop";
+    }
+    return "?";
+  };
   std::ostringstream os;
   os << "InferencePlan: " << ops_.size() << " ops (" << fused_ops_
      << " fused, " << bn_folded_ << " bn-folded, " << residual_folded_
@@ -1244,13 +1194,37 @@ std::string InferencePlan::summary() const {
      << " int8), " << values_.size() << " values, max_batch " << max_batch_
      << ", arena " << arena_bytes() / 1024 << " KiB (" << buckets_.size()
      << " buckets)\n";
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    const Op& op = ops_[i];
-    os << "  %" << op.out << " = "
-       << kKindNames[static_cast<std::size_t>(op.kind)] << "(%" << op.in0;
-    if (op.in1 >= 0) os << ", %" << op.in1;
-    os << ") -> "
+  for (const Op& op : ops_) {
+    os << "  %" << op.out << " = " << kind_name(op.kind) << "(%" << op.in0
+       << ") -> "
        << values_[static_cast<std::size_t>(op.out)].sample_shape.str();
+    if (op.has_epilogue()) {
+      // The epilogue's steps in execution order.
+      os << " {";
+      const char* sep = "";
+      const auto step = [&](const std::string& name) {
+        os << sep << name;
+        sep = " ";
+      };
+      if (op.q8) step("int8");
+      if (op.bias.defined()) step("bias");
+      if (op.gamma.defined()) step("bn");
+      if (op.in1 >= 0) step("+%" + std::to_string(op.in1));
+      if (op.site != nullptr) {
+        const core::BoundedActivation& site = *op.site;
+        const kern::BoundBroadcast b = bound_broadcast(
+            site.scheme() != core::Scheme::relu && site.has_bounds()
+                ? site.bounds().value().numel()
+                : 1,
+            op.fb);
+        step(std::string(site.scheme() == core::Scheme::fitrelu ? "fitrelu/"
+                                                                : "clamp/") +
+             (b == kern::BoundBroadcast::layer     ? "layer"
+              : b == kern::BoundBroadcast::channel ? "channel"
+                                                   : "neuron"));
+      }
+      os << "}";
+    }
     if (!op.label.empty()) os << "  # " << op.label;
     os << "\n";
   }

@@ -6,39 +6,40 @@
 // An InferencePlan splits define from execute, ggml-style:
 //
 //   record    Module::record(PlanBuilder&) walks the model once and appends
-//             plan ops (conv2d / linear / batch_norm2d / pools / flatten /
-//             bounded activation / residual add), capturing parameter
-//             tensors by shared storage — live fault injection and clean-
-//             image scrubs through quant::ParamImage remain visible to the
-//             plan because they write through that same storage.
-//   fuse      A peephole pass (on by default; compile's `fuse` flag)
-//             folds each conv2d/linear with the ops that consume only its
-//             output into one fused op: conv/linear -> activation,
+//             one plan op per layer: a conv2d or linear (its GEMM, with the
+//             bias as the first step of its epilogue), an epilogue op for
+//             each BatchNorm, bounded activation and residual add (one
+//             kern::epilogue pass from slot to slot), pools, and no-ops.
+//             Parameter tensors are captured by shared storage — live fault
+//             injection and clean-image scrubs through quant::ParamImage
+//             remain visible to the plan because they write through that
+//             same storage.
+//   fuse      A peephole pass (on by default; compile's `fuse` flag) merges
+//             the epilogue ops that consume only a conv2d/linear's output
+//             into that op's epilogue: conv/linear -> activation,
 //             conv -> BatchNorm -> activation, conv -> BatchNorm with no
 //             activation (a projection shortcut), and a residual block's
 //             tail conv -> BatchNorm -> add(., shortcut) -> activation.
-//             The folded intermediates never occupy an arena slot. Every
-//             fused op executes as its GEMM followed by one kern::epilogue
-//             (or, int8, kern::dequant_plane) pass over each sample's
-//             output, described by the kern::Epilogue that
-//             resolve_epilogue builds from the op's parameters and site.
-//             The epilogue runs the exact per-element float sequence of
-//             the unfused ops (bias, BatchNorm, add, clamp or FitReLU), so
-//             fusion preserves the plan-vs-eager bit-identity contract;
-//             the site is resolved on every execute, so re-protection
-//             after compile stays visible exactly as on the unfused path.
+//             The merged intermediates never occupy an arena slot. Every
+//             epilogue runs the exact per-element float sequence of the
+//             unmerged ops (bias, BatchNorm, add, clamp or FitReLU), so
+//             fusion preserves the plan-vs-eager bit-identity contract.
 //   plan      A liveness pass assigns every intermediate value an offset in
 //             one pre-sized activation arena (first-fit over live ranges,
 //             which degenerates to ping-pong for chain models), with a
 //             separate offset table per batch-size bucket (powers of two up
 //             to max_batch) so small batches stay cache-tight.
 //   execute   Batches run through the recorded ops with zero heap
-//             allocations in steady state: kernels come from
-//             autograd/op_kernels.h (the same inline code the eager ops
-//             run, so outputs are bit-identical to eager forwards), nested
-//             GEMM parallelism is disabled via ut::InlineKernelScope (lane
-//             threads already saturate the cores), and input/output views
-//             are pre-built non-owning Tensors over the arena.
+//             allocations in steady state. Each op's kern::Epilogue is
+//             resolved once, at the top of the loop, from its parameters
+//             and site as they stand now (so re-protection after compile
+//             stays visible); a conv/linear op then runs its fp32 GEMM
+//             (autograd/op_kernels.h, the same inline code the eager ops
+//             run) and kern::epilogue, or, int8, its int8 GEMM and
+//             kern::dequant_plane. Nested GEMM parallelism is disabled via
+//             ut::InlineKernelScope (lane threads already saturate the
+//             cores), and input/output views are pre-built non-owning
+//             Tensors over the arena.
 //
 // Recording fails with PlanError — listing the offending module's path —
 // for module types without a record() override and for train-only behavior
@@ -73,20 +74,20 @@ namespace fitact::nn {
 
 /// Arithmetic the plan's fused conv/linear ops execute with.
 ///
-/// int8 converts every fused conv/linear op whose input range is statically
-/// known (see compile()'s input_range and the bound-derived range
-/// propagation in plan.cpp) to block-quantized int8 GEMM. One epilogue pass
+/// int8 converts every fused conv/linear op (one whose epilogue merged a
+/// BatchNorm or an activation) whose input range is statically known (see
+/// compile()'s input_range and the bound-derived range propagation in
+/// plan.cpp) to block-quantized int8 GEMM. One epilogue pass
 /// (kern::dequant_plane) finishes each sample's int8 conv planes or linear
 /// row while they are cache-hot: dequantize + bias, then the op's optional
 /// BatchNorm, residual add and bound clamp (with clamp-event counting). An
 /// op needs no clamp of its own to qualify: a projection shortcut
-/// (conv -> BN) reads a clamp output,
-/// so it converts, and only its output range is left unknown — the
-/// residual tail that adds it needs just its own input's range. Ops that
-/// don't qualify (unknown input ranges, unbounded schemes, FitReLU's
-/// sigmoid shaping) stay fp32, so a plan is int8 *where the bounds allow* —
-/// compile throws PlanError when nothing qualifies rather than silently
-/// serving fp32 under an int8 label.
+/// (conv -> BN) reads a clamp output, so it converts, and only its output
+/// range is left unknown — the residual tail that adds it needs just its
+/// own input's range. Ops that don't qualify (unknown input ranges,
+/// unbounded schemes, FitReLU's sigmoid shaping) stay fp32, so a plan is
+/// int8 *where the bounds allow* — compile throws PlanError when nothing
+/// qualifies rather than silently serving fp32 under an int8 label.
 ///
 /// Fault model of an int8 op: its live quantized bytes (Int8Weights::q) are
 /// the deployed weight storage — fp32 weight faults injected through
@@ -160,25 +161,11 @@ class PlanBuilder {
   enum class OpKind : std::uint8_t {
     conv2d,
     linear,
-    batch_norm2d,
+    epilogue,  ///< kern::epilogue from in0's slot to out's: a BatchNorm, an
+               ///< activation or a residual add
     max_pool2d,
     global_avg_pool,
-    activation,
-    add,
     noop,
-    // Fusion-pass products (never recorded directly): a conv2d/linear whose
-    // epilogue runs on the GEMM output. The op's fields say which steps it
-    // runs, in eager order: bias (bias defined), a folded eval-mode
-    // BatchNorm (gamma defined), a residual add of value in1 (in1 >= 0),
-    // then the site's activation (site non-null). InferencePlan::fuse_ops
-    // lists the shapes that produce them.
-    fused_conv2d,
-    fused_linear,
-    // Quantization-pass products (Precision::int8): the same epilogue after
-    // an int8 GEMM over block-quantized weights and a dequantize.
-    fused_conv2d_int8,
-    fused_linear_int8,
-    num_kinds,  ///< not a kind: the number of kinds (summary() name table)
   };
 
   struct Value {
@@ -190,18 +177,24 @@ class PlanBuilder {
     bool dead = false;          ///< eliminated by fusion; gets no arena slot
   };
 
+  /// One layer. A conv2d/linear op is its GEMM followed by the epilogue
+  /// its fields name, in eager order: bias (bias defined), an eval-mode
+  /// BatchNorm (gamma defined), a residual add of value in1 (in1 >= 0),
+  /// then the site's activation (site non-null); a GEMM op with none of
+  /// them skips the pass. An epilogue op records exactly one of BatchNorm,
+  /// add (in0 + in1) or activation; InferencePlan::fuse_ops merges them
+  /// into the conv2d/linear they follow. The quantization pass sets q8.
   struct Op {
     OpKind kind;
     PlanValueId in0 = -1;
-    PlanValueId in1 = -1;  ///< add's 2nd operand; a fused op's shortcut
+    PlanValueId in1 = -1;  ///< the shortcut operand of an add step
     PlanValueId out = -1;
     std::string label;  ///< module path at record time (diagnostics)
 
     // conv2d
     Conv2dGeometry geo{};
     std::int64_t out_c = 0;
-    // conv2d / linear / batch_norm2d parameters (shared storage with the
-    // module's live parameters)
+    // parameters (shared storage with the module's live parameters)
     Tensor weight;
     Tensor bias;
     Tensor gamma, beta, running_mean, running_var;
@@ -210,8 +203,8 @@ class PlanBuilder {
     std::int64_t in_f = 0, out_f = 0;
     // max_pool2d
     std::int64_t kernel = 0, stride = 0;
-    // activation; for fused ops the clamp site, or null when the fused op
-    // has no clamp (a projection shortcut's conv -> BatchNorm)
+    // activation step, and the output's per-sample [channels, hw] block
+    // the epilogue runs over
     core::BoundedActivation* site = nullptr;
     ag::FeatureBroadcast fb{};
     // int8 ops: block-quantized weights + scales (quantization pass product)
@@ -221,12 +214,22 @@ class PlanBuilder {
     // its quantized activation bytes are all in [0,127] and execute may use
     // the u8xs8 GEMM (kern::gemm_i8u8_dot) instead of the signed one.
     bool q8_in_nonneg = false;
+
+    /// True when the op has an epilogue pass to run: a dequantize, bias,
+    /// BatchNorm, add or activation step. Pools and no-ops have none.
+    [[nodiscard]] bool has_epilogue() const {
+      return q8 || bias.defined() || gamma.defined() || in1 >= 0 ||
+             site != nullptr;
+    }
   };
 
   explicit PlanBuilder(Shape sample_shape);
 
   PlanValueId new_value(Shape sample_shape, std::int32_t def_op,
                         PlanValueId alias_of = -1);
+  /// Append `op` at the current module path, writing a new value of
+  /// `out_shape`; returns that value.
+  PlanValueId push(Op op, Shape out_shape);
   PlanValueId root(PlanValueId v) const noexcept;
   void use(PlanValueId v, std::int32_t op_index);
   const Value& value(PlanValueId v) const;
@@ -332,19 +335,20 @@ class InferencePlan {
 
   void fuse_ops();
   void quantize_ops(float input_range);
-  /// The epilogue finishing `op` (a fused conv/linear or an activation),
-  /// resolved from its parameters and activation site now. Throws
-  /// std::logic_error when the site left clean serving mode or an int8 op
-  /// lost the clamp it was quantized under.
+  /// The epilogue finishing `op`, resolved from its parameters and
+  /// activation site now (the shortcut is per sample and left null).
+  /// Throws std::logic_error when the site left clean serving mode or an
+  /// int8 op lost the clamp it was quantized under.
   kern::Epilogue resolve_epilogue(const Op& op);
-  /// Execute bodies of the fused kinds: GEMM, then the epilogue
-  /// (`shortcut` is null without a residual add).
-  void run_fused(const Op& op, std::int64_t batch, const float* x,
-                 const float* shortcut, float* scratch, float* o);
-  void run_int8_conv(const Op& op, std::int64_t batch, const float* x,
-                     const float* shortcut, float* o);
-  void run_int8_linear(const Op& op, std::int64_t batch, const float* x,
-                       float* o);
+  /// The int8 conv/linear bodies: quantize, int8 GEMM, then
+  /// kern::dequant_plane with `e` per sample (`shortcut` is null without a
+  /// residual add). Return the epilogue's clamp-event tally.
+  std::uint64_t run_int8_conv(const Op& op, std::int64_t batch,
+                              const float* x, const kern::Epilogue& e,
+                              const float* shortcut, float* o);
+  std::uint64_t run_int8_linear(const Op& op, std::int64_t batch,
+                                const float* x, const kern::Epilogue& e,
+                                float* o);
   void finalize_liveness();
   void plan_arena();
   [[nodiscard]] const Bucket& bucket_for(std::int64_t batch) const;

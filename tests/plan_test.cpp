@@ -20,6 +20,7 @@
 #include "autograd/variable.h"
 #include "core/activation.h"
 #include "core/protection.h"
+#include "data/synthetic_cifar.h"
 #include "eval/experiment.h"
 #include "eval/serving.h"
 #include "fault/injector.h"
@@ -654,6 +655,44 @@ TEST(PlanInt8, ResNet50QuantizesEveryConvAndBatchesMatchSamplesAlone) {
   }
 }
 
+// summary() lists each op's epilogue steps. On ResNet50 int8 every
+// residual tail shows its shortcut ("+%N") and every int8 op its "int8"
+// tag, so the two counts match the plan's own counters.
+TEST(PlanInt8, SummaryListsEachOpsEpilogueSteps) {
+  const auto model = zoo_model("resnet50", core::Scheme::clip_act, 43);
+  ut::Rng rng(73);
+  const Tensor x = Tensor::randn(Shape{2, 3, 32, 32}, rng);
+  const auto plan = nn::InferencePlan::compile(model, Shape{3, 32, 32}, 2,
+                                               /*fuse=*/true,
+                                               nn::Precision::int8,
+                                               max_abs(x));
+  const std::string summary = plan->summary();
+  std::size_t shortcut_lines = 0;
+  std::size_t int8_tags = 0;
+  std::size_t op_lines = 0;
+  std::size_t start = summary.find('\n') + 1;  // past the header line
+  while (start < summary.size()) {
+    const std::size_t end = summary.find('\n', start);
+    const std::string line = summary.substr(start, end - start);
+    start = end + 1;
+    ++op_lines;
+    const std::size_t open = line.find('{');
+    if (open == std::string::npos) continue;
+    const std::string steps =
+        line.substr(open + 1, line.find('}', open) - open - 1);
+    if (steps.find("+%") != std::string::npos) ++shortcut_lines;
+    std::size_t pos = 0;
+    while ((pos = steps.find("int8", pos)) != std::string::npos) {
+      ++int8_tags;
+      pos += 4;
+    }
+  }
+  EXPECT_EQ(op_lines, plan->op_count()) << summary;
+  EXPECT_EQ(shortcut_lines, plan->residual_folded_op_count()) << summary;
+  EXPECT_EQ(int8_tags, plan->int8_op_count()) << summary;
+  EXPECT_NE(summary.find("clamp/"), std::string::npos) << summary;
+}
+
 // Fault lifecycle of a fused residual tail: its live int8 bytes are the
 // deployed conv3 weights. Saturating them must raise clamp events at the
 // block's act_out site (the tail's clamp), and restore_int8_weights() must
@@ -841,8 +880,9 @@ TEST(Plan, SeesSchemeChangesAppliedAfterCompile) {
 }
 
 // The executor's site guards: a site switched into profiling mode after
-// compile fails every planned op kind that reads it (activation, fused
-// fp32, fused int8) instead of being silently bypassed, and an int8 op
+// compile fails every op whose epilogue reads it (a standalone activation
+// epilogue, an fp32 conv/linear, an int8 one) instead of being silently
+// bypassed, and an int8 op
 // whose site left the clamp scheme it was quantized under demands a
 // recompile. Both recover once the site is restored.
 TEST(Plan, SiteModeAndSchemeChangesAfterCompileFailLoudly) {
@@ -875,6 +915,44 @@ TEST(Plan, SiteModeAndSchemeChangesAfterCompileFailLoudly) {
   EXPECT_NO_THROW(run(*int8));
 }
 
+// ev::peak_clean_clamp_rate calibrates on an fp32 plan at batch 1. Its
+// oracle is the eager per-sample loop: plan and eager forwards are
+// bit-identical and count the same elements, so the calibrated rate must
+// match exactly — FitAct's FitReLU on tinycnn, Clip-Act's residual tails on
+// resnet50.
+TEST(PlanCalibration, PeakCleanClampRateMatchesTheEagerOracle) {
+  struct Case {
+    const char* name;
+    core::Scheme scheme;
+  };
+  for (const auto& [name, scheme] : {Case{"tinycnn", core::Scheme::fitrelu},
+                                     Case{"resnet50", core::Scheme::clip_act}}) {
+    ev::PreparedModel pm;
+    pm.model = zoo_model(name, scheme, 59);
+    data::SyntheticCifarConfig dc;
+    dc.size = 12;
+    dc.seed = 61;
+    pm.test = std::make_shared<data::SyntheticCifar>(dc);
+    const auto sites = core::collect_activations(*pm.model);
+    double oracle = 0.0;
+    {
+      const NoGradGuard no_grad;
+      for (const auto& site : sites) site->set_clamp_counting(true);
+      for (std::int64_t i = 0; i < pm.test->size(); ++i) {
+        core::reset_clamp_counters(sites);
+        (void)pm.model->forward(
+            Variable(pm.test->batch(i, 1, nullptr), false));
+        oracle = std::max(oracle, core::peak_site_clamp_rate(sites));
+      }
+      for (const auto& site : sites) site->set_clamp_counting(false);
+      core::reset_clamp_counters(sites);
+    }
+    EXPECT_GT(oracle, 0.0) << name << ": clean samples must clamp somewhere";
+    EXPECT_EQ(ev::peak_clean_clamp_rate(pm, pm.test->size()), oracle) << name;
+    for (const auto& site : sites) EXPECT_FALSE(site->clamp_counting());
+  }
+}
+
 #if FITACT_COUNT_ALLOCS
 // Acceptance contract: steady-state execute performs zero heap
 // allocations. Two warm-up executes pay the one-time lazy costs (the GEMM
@@ -882,28 +960,33 @@ TEST(Plan, SiteModeAndSchemeChangesAfterCompileFailLoudly) {
 // the global allocation counter untouched. vgg16 adds the grouped GEMMs of
 // its 2x2-output convs, which run out of the compile-time scratch block;
 // resnet50 adds the residual tails and projections, in fp32 and in int8.
+// The unfused resnet50 and vgg16_bn plans run every BatchNorm, residual add
+// and activation as a standalone epilogue op.
 TEST(PlanAllocations, SteadyStateExecuteDoesNotTouchTheHeap) {
   struct Case {
     const char* name;
     core::Scheme scheme;
     nn::Precision precision;
+    bool fuse;
   };
   const Case cases[] = {
-      {"tinycnn", core::Scheme::clip_act, nn::Precision::fp32},
-      {"vgg16", core::Scheme::clip_act, nn::Precision::fp32},
-      {"vgg16", core::Scheme::fitrelu, nn::Precision::fp32},
-      {"resnet50", core::Scheme::clip_act, nn::Precision::fp32},
-      {"resnet50", core::Scheme::clip_act, nn::Precision::int8}};
+      {"tinycnn", core::Scheme::clip_act, nn::Precision::fp32, true},
+      {"vgg16", core::Scheme::clip_act, nn::Precision::fp32, true},
+      {"vgg16", core::Scheme::fitrelu, nn::Precision::fp32, true},
+      {"resnet50", core::Scheme::clip_act, nn::Precision::fp32, true},
+      {"resnet50", core::Scheme::clip_act, nn::Precision::int8, true},
+      {"resnet50", core::Scheme::clip_act, nn::Precision::fp32, false},
+      {"vgg16_bn", core::Scheme::fitrelu, nn::Precision::fp32, false}};
   for (const kern::Backend backend :
        {kern::Backend::scalar,
         kern::avx2_supported() ? kern::Backend::avx2 : kern::Backend::scalar}) {
     const kern::BackendGuard guard(backend);
-    for (const auto& [name, scheme, precision] : cases) {
+    for (const auto& [name, scheme, precision, fuse] : cases) {
       const auto model = zoo_model(name, scheme, 11);
       ut::Rng rng(5);
       const Tensor x = Tensor::randn(Shape{4, 3, 32, 32}, rng);
       const auto plan = nn::InferencePlan::compile(
-          model, Shape{3, 32, 32}, 4, /*fuse=*/true, precision, max_abs(x));
+          model, Shape{3, 32, 32}, 4, fuse, precision, max_abs(x));
       std::memcpy(plan->input_view(4).data(), x.data(),
                   sizeof(float) * static_cast<std::size_t>(x.numel()));
       (void)plan->execute(4);
@@ -915,7 +998,8 @@ TEST(PlanAllocations, SteadyStateExecuteDoesNotTouchTheHeap) {
           g_alloc_count.load(std::memory_order_relaxed);
       EXPECT_EQ(after - before, 0u)
           << name << " " << core::to_string(scheme)
-          << (precision == nn::Precision::int8 ? " int8" : " fp32") << " "
+          << (precision == nn::Precision::int8 ? " int8" : " fp32")
+          << (fuse ? " fused " : " unfused ")
           << kern::backend_name(backend) << ": steady-state execute allocated "
           << (after - before) << " times";
     }
