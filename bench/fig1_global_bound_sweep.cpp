@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     second_site->set_layer_bound(static_cast<float>(bound));
     const double clean = ev::evaluate_accuracy(*pm.model, *pm.test, ec);
 
-    quant::ParamImage image(*pm.model, false, layer_filter);
+    quant::ParamImage image(*pm.model, layer_filter);
     fault::Injector injector(image);
     fault::CampaignConfig cc;
     cc.bit_error_rate = rate;

@@ -582,21 +582,13 @@ Variable fitrelu(const Variable& x, const Variable& lambda, float k) {
 
 Variable softmax_cross_entropy(const Variable& logits,
                                const std::vector<std::int64_t>& labels,
-                               Tensor* probs_out, float label_smoothing) {
+                               Tensor* probs_out) {
   check_rank(logits, 2, "softmax_cross_entropy");
   const std::int64_t batch = logits.shape()[0];
   const std::int64_t classes = logits.shape()[1];
   if (static_cast<std::int64_t>(labels.size()) != batch) {
     throw std::invalid_argument("softmax_cross_entropy: label count mismatch");
   }
-  if (label_smoothing < 0.0f || label_smoothing >= 1.0f) {
-    throw std::invalid_argument(
-        "softmax_cross_entropy: label_smoothing must be in [0, 1)");
-  }
-  // Target distribution weights: q_y = 1 - s + s/K, q_other = s/K.
-  const float q_other = label_smoothing / static_cast<float>(classes);
-  const float q_label = 1.0f - label_smoothing + q_other;
-
   Tensor probs(Shape{batch, classes});
   const float* pl = logits.value().data();
   float* pp = probs.data();
@@ -618,17 +610,7 @@ Variable softmax_cross_entropy(const Variable& logits,
     if (y < 0 || y >= classes) {
       throw std::out_of_range("softmax_cross_entropy: label out of range");
     }
-    if (label_smoothing == 0.0f) {
-      loss_acc += -std::log(std::max(1e-12f, prow[y]));
-    } else {
-      double row_loss = 0.0;
-      for (std::int64_t c = 0; c < classes; ++c) {
-        const float q = (c == y) ? q_label : q_other;
-        row_loss += -static_cast<double>(q) *
-                    std::log(std::max(1e-12f, prow[c]));
-      }
-      loss_acc += row_loss;
-    }
+    loss_acc += -std::log(std::max(1e-12f, prow[y]));
   }
   if (probs_out != nullptr) *probs_out = probs;
 
@@ -638,8 +620,7 @@ Variable softmax_cross_entropy(const Variable& logits,
   auto labels_copy = std::make_shared<std::vector<std::int64_t>>(labels);
   return Variable::from_op(
       std::move(loss), {logits},
-      [pl_impl, probs, labels_copy, batch, classes, q_label,
-       q_other](const Tensor& g) {
+      [pl_impl, probs, labels_copy, batch, classes](const Tensor& g) {
         if (!pl_impl->requires_grad) return;
         float* dx = grad_buffer(pl_impl);
         const float* pp2 = probs.data();
@@ -649,7 +630,7 @@ Variable softmax_cross_entropy(const Variable& logits,
           const float* prow = pp2 + b * classes;
           float* drow = dx + b * classes;
           for (std::int64_t c = 0; c < classes; ++c) {
-            drow[c] += gs * (prow[c] - (c == y ? q_label : q_other));
+            drow[c] += gs * (prow[c] - (c == y ? 1.0f : 0.0f));
           }
         }
       });

@@ -88,11 +88,9 @@ namespace fitact::ag {
 // ---- losses / reductions ---------------------------------------------------
 /// Mean cross-entropy of logits[B,K] against integer labels. If probs_out
 /// is non-null it receives the softmax probabilities [B,K].
-/// label_smoothing in [0,1) mixes the one-hot target with the uniform
-/// distribution: q = (1-s)*onehot + s/K.
 [[nodiscard]] Variable softmax_cross_entropy(
     const Variable& logits, const std::vector<std::int64_t>& labels,
-    Tensor* probs_out = nullptr, float label_smoothing = 0.0f);
+    Tensor* probs_out = nullptr);
 
 /// Scalar sum of squared entries (the FitAct bound regulariser, Eq. 10).
 [[nodiscard]] Variable sum_of_squares(const Variable& x);

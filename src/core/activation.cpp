@@ -83,7 +83,7 @@ void BoundedActivation::update_profile(const Tensor& x) {
   }
 }
 
-void BoundedActivation::init_bounds_from_profile(float margin) {
+void BoundedActivation::init_bounds_from_profile() {
   if (!profile_max_.defined()) {
     throw std::logic_error(
         "BoundedActivation: no profile recorded; run a profiling pass before "
@@ -104,16 +104,16 @@ void BoundedActivation::init_bounds_from_profile(float margin) {
   Tensor b = Tensor::zeros(Shape{extent});
   const float* pm = profile_max_.data();
   if (config_.granularity == Granularity::per_neuron) {
-    for (std::int64_t f = 0; f < feat_; ++f) b[f] = pm[f] * margin;
+    for (std::int64_t f = 0; f < feat_; ++f) b[f] = pm[f];
   } else if (config_.granularity == Granularity::per_channel) {
     for (std::int64_t f = 0; f < feat_; ++f) {
       const std::int64_t c = f / hw_;
-      b[c] = std::max(b[c], pm[f] * margin);
+      b[c] = std::max(b[c], pm[f]);
     }
   } else {
     float mx = 0.0f;
     for (std::int64_t f = 0; f < feat_; ++f) mx = std::max(mx, pm[f]);
-    b[0] = mx * margin;
+    b[0] = mx;
   }
 
   // Reinitialising existing same-extent storage keeps its trainability

@@ -93,9 +93,9 @@ class BoundedActivation final : public nn::Module {
 
   // -- bounds ---------------------------------------------------------------
   /// Initialise bound storage from the recorded profile at the configured
-  /// granularity (per-layer/channel bounds take the max over their group),
-  /// scaled by `margin`. Requires a completed profiling pass.
-  void init_bounds_from_profile(float margin = 1.0f);
+  /// granularity (per-layer/channel bounds take the max over their group).
+  /// Requires a completed profiling pass.
+  void init_bounds_from_profile();
 
   /// Directly set a per-layer bound (used by tests and the Fig. 1 sweep).
   void set_layer_bound(float bound);

@@ -1,42 +1,17 @@
 #include "core/post_training.h"
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
 #include "autograd/ops.h"
 #include "data/data_loader.h"
+#include "eval/metrics.h"
 #include "nn/optimizer.h"
 #include "tensor/tensor_ops.h"
 #include "util/timer.h"
 
 namespace fitact::core {
 namespace {
-
-double clean_accuracy(nn::Module& model, const data::Dataset& ds,
-                      std::int64_t max_samples, std::int64_t batch_size) {
-  const NoGradGuard no_grad;
-  model.set_training(false);
-  const std::int64_t total =
-      max_samples > 0 ? std::min(max_samples, ds.size()) : ds.size();
-  std::int64_t correct = 0;
-  std::int64_t done = 0;
-  std::vector<std::int64_t> labels;
-  while (done < total) {
-    const std::int64_t count = std::min<std::int64_t>(batch_size, total - done);
-    Tensor images = ds.batch(done, count, &labels);
-    const Variable out = model.forward(Variable(std::move(images)));
-    const auto pred = argmax_rows(out.value());
-    for (std::int64_t i = 0; i < count; ++i) {
-      if (pred[static_cast<std::size_t>(i)] == labels[static_cast<std::size_t>(i)]) {
-        ++correct;
-      }
-    }
-    done += count;
-  }
-  return total > 0 ? static_cast<double>(correct) / static_cast<double>(total)
-                   : 0.0;
-}
 
 double bound_energy(const std::vector<Variable>& lambdas) {
   double acc = 0.0;
@@ -91,8 +66,15 @@ PostTrainReport post_train_bounds(nn::Module& model,
   std::vector<Tensor> best = snapshot();
   double best_energy = std::numeric_limits<double>::infinity();
 
-  report.initial_accuracy =
-      clean_accuracy(model, val, config.val_samples, config.batch_size);
+  // The Eq. 9 constraint is checked on top-1 over config.val_samples.
+  ev::EvalConfig val_config;
+  val_config.batch_size = config.batch_size;
+  val_config.max_samples = config.val_samples;
+  const auto clean_accuracy = [&] {
+    return ev::evaluate_accuracy(model, val, val_config);
+  };
+
+  report.initial_accuracy = clean_accuracy();
   report.initial_bound_energy = bound_energy(lambdas);
 
   // Theta_A stays frozen: only lambdas enter the optimiser, and the model
@@ -135,8 +117,7 @@ PostTrainReport post_train_bounds(nn::Module& model,
     ep.loss = batches > 0 ? loss_sum / static_cast<double>(batches) : 0.0;
     ep.ce_loss = batches > 0 ? ce_sum / static_cast<double>(batches) : 0.0;
     ep.bound_energy = bound_energy(lambdas);
-    ep.val_accuracy =
-        clean_accuracy(model, val, config.val_samples, config.batch_size);
+    ep.val_accuracy = clean_accuracy();
     ep.feasible =
         (baseline_accuracy - ep.val_accuracy) < static_cast<double>(config.delta);
     if (ep.feasible && ep.bound_energy < best_energy) {
@@ -156,8 +137,7 @@ PostTrainReport post_train_bounds(nn::Module& model,
     l.zero_grad();
     l.set_requires_grad(false);
   }
-  report.final_accuracy =
-      clean_accuracy(model, val, config.val_samples, config.batch_size);
+  report.final_accuracy = clean_accuracy();
   report.final_bound_energy = bound_energy(lambdas);
   report.wall_time_s = timer.elapsed_s();
   return report;

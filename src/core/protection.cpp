@@ -28,7 +28,7 @@ void apply_protection(nn::Module& model, Scheme scheme,
     act->set_steepness(options.k);
     if (scheme == Scheme::relu) continue;
     act->set_granularity(options.granularity);
-    act->init_bounds_from_profile(options.margin);
+    act->init_bounds_from_profile();
   }
 }
 

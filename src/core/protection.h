@@ -11,13 +11,13 @@
 
 namespace fitact::core {
 
+/// Bounds are always seeded at the profiled maxima (paper Sec. V); only
+/// their granularity and the FitReLU steepness are choices.
 struct ProtectionOptions {
   /// Bound granularity for the bounded schemes. Clip-Act and Ranger use
   /// per-layer bounds in the paper; FitAct uses per-neuron. Overridable for
   /// the granularity ablation.
   Granularity granularity = Granularity::per_neuron;
-  /// Multiplier applied to profiled maxima when seeding bounds.
-  float margin = 1.0f;
   /// FitReLU steepness.
   float k = 8.0f;
 };

@@ -5,6 +5,13 @@
 
 namespace fitact::data {
 
+namespace {
+
+constexpr float kNoiseStddev = 0.35f;  // additive pixel noise
+constexpr int kGratingsPerClass = 3;  // sinusoidal components per class
+
+}  // namespace
+
 SyntheticCifar::SyntheticCifar(const SyntheticCifarConfig& config)
     : config_(config) {
   ut::Rng rng(config_.seed * 0x9E3779B97F4A7C15ull + 17);
@@ -12,7 +19,7 @@ SyntheticCifar::SyntheticCifar(const SyntheticCifarConfig& config)
   class_color_.resize(static_cast<std::size_t>(config_.num_classes));
   for (std::int64_t c = 0; c < config_.num_classes; ++c) {
     auto& gratings = class_gratings_[static_cast<std::size_t>(c)];
-    gratings.resize(static_cast<std::size_t>(config_.gratings_per_class));
+    gratings.resize(kGratingsPerClass);
     for (auto& g : gratings) {
       g.fx = rng.uniform(0.5f, 4.0f);
       g.fy = rng.uniform(0.5f, 4.0f);
@@ -66,7 +73,7 @@ void SyntheticCifar::image_into(std::int64_t i, float* out) const {
   }
   // Additive pixel noise.
   for (std::int64_t p = 0; p < kImageNumel; ++p) {
-    out[p] += rng.normal(0.0f, config_.noise_stddev);
+    out[p] += rng.normal(0.0f, kNoiseStddev);
   }
 }
 

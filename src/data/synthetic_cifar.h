@@ -29,8 +29,6 @@ struct SyntheticCifarConfig {
   std::int64_t size = 2048;       ///< samples in this split
   std::uint64_t seed = 1;         ///< class-texture seed (shared by splits)
   std::uint64_t split_salt = 0;   ///< distinguishes train/test sample streams
-  float noise_stddev = 0.35f;     ///< additive pixel noise
-  int gratings_per_class = 3;     ///< sinusoidal components per class
 };
 
 class SyntheticCifar final : public Dataset {

@@ -12,6 +12,23 @@
 
 namespace fitact::ev {
 
+namespace {
+
+/// Clean test samples that calibrate the detection threshold (and the int8
+/// input range).
+constexpr std::int64_t kCalibrationSamples = 64;
+/// Threshold = max(peak clean per-sample clamp rate * margin, floor).
+/// The peak *per-sample* statistic bounds every possible batch's
+/// statistic: a batch's per-site rate is the mean of its samples'
+/// per-site rates (every sample contributes the same activation count to
+/// a site), so the batch's peak site rate cannot exceed the peak over
+/// its samples. The calibrated detector is therefore false-positive-free
+/// on the calibration set for any batch assembly.
+constexpr double kCalibrationMargin = 3.0;
+constexpr double kCalibrationFloor = 1e-3;
+
+}  // namespace
+
 void ServeOptions::validate() const {
   // A negative clamp_rate_threshold is this layer's "calibrate from clean
   // traffic" sentinel — make_server resolves it to a concrete non-negative
@@ -22,21 +39,6 @@ void ServeOptions::validate() const {
     shape.clamp_rate_threshold = 0.0;
   }
   shape.validate();
-  if (calibration_samples <= 0) {
-    throw std::invalid_argument(
-        "ServeOptions: calibration_samples must be positive, got " +
-        std::to_string(calibration_samples));
-  }
-  if (calibration_margin < 0.0) {
-    throw std::invalid_argument(
-        "ServeOptions: calibration_margin must be non-negative, got " +
-        std::to_string(calibration_margin));
-  }
-  if (calibration_floor < 0.0) {
-    throw std::invalid_argument(
-        "ServeOptions: calibration_floor must be non-negative, got " +
-        std::to_string(calibration_floor));
-  }
 }
 
 double peak_clean_clamp_rate(const PreparedModel& pm, std::int64_t samples) {
@@ -125,10 +127,9 @@ std::unique_ptr<serve::InferenceServer> make_server(
     if (config.clamp_rate_threshold < 0.0) config.clamp_rate_threshold = 0.0;
   }
   if (config.detection && config.clamp_rate_threshold < 0.0) {
-    const double peak =
-        peak_clean_clamp_rate(pm, options.calibration_samples);
+    const double peak = peak_clean_clamp_rate(pm, kCalibrationSamples);
     config.clamp_rate_threshold =
-        std::max(peak * options.calibration_margin, options.calibration_floor);
+        std::max(peak * kCalibrationMargin, kCalibrationFloor);
     ut::log_info() << "make_server: calibrated clamp-rate threshold "
                    << config.clamp_rate_threshold << " (peak clean rate "
                    << peak << ")";
@@ -140,7 +141,7 @@ std::unique_ptr<serve::InferenceServer> make_server(
   float input_range = -1.0f;
   if (config.precision == nn::Precision::int8) {
     const std::int64_t total =
-        std::min<std::int64_t>(options.calibration_samples, pm.test->size());
+        std::min<std::int64_t>(kCalibrationSamples, pm.test->size());
     for (std::int64_t i = 0; i < total; ++i) {
       const Tensor x = pm.test->batch(i, 1, nullptr);
       const float* p = x.data();

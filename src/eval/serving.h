@@ -17,37 +17,25 @@ struct ServeOptions {
   /// Server shape (lanes, batch size, window, detection threshold,
   /// precision). A negative clamp_rate_threshold means "calibrate
   /// from clean traffic" (the default here, overriding the ServerOptions
-  /// default).
+  /// default): make_server sets it to max(3 x the peak clean per-sample
+  /// clamp rate over the first 64 test samples, 1e-3).
   serve::ServerOptions server = [] {
     serve::ServerOptions c;
     c.clamp_rate_threshold = -1.0;
     return c;
   }();
-  /// Clean test samples used to calibrate the detection threshold.
-  std::int64_t calibration_samples = 64;
-  /// Threshold = max(peak clean per-sample clamp rate * margin, floor).
-  /// The peak *per-sample* statistic bounds every possible batch's
-  /// statistic: a batch's per-site rate is the mean of its samples'
-  /// per-site rates (every sample contributes the same activation count to
-  /// a site), so the batch's peak site rate cannot exceed the peak over
-  /// its samples. The calibrated detector is therefore false-positive-free
-  /// on the calibration set for any batch assembly.
-  double calibration_margin = 3.0;
-  double calibration_floor = 1e-3;
 
-  /// Validates the embedded server shape (serve::ServerOptions::validate)
-  /// plus the calibration knobs: calibration_samples must be positive,
-  /// margin and floor non-negative. make_server calls this first, so every
-  /// invalid combination surfaces through the same std::invalid_argument
-  /// path instead of being silently patched by driver defaults.
+  /// Validates the embedded server shape (serve::ServerOptions::validate).
+  /// make_server calls this first, so every invalid combination surfaces
+  /// through the same std::invalid_argument path instead of being silently
+  /// patched by driver defaults.
   void validate() const;
 };
 
 /// Peak per-sample, per-site clamp rate of pm.model over the first
 /// `samples` test samples (clean traffic) — the detection statistic
 /// serve::InferenceServer thresholds. `samples` must be positive (throws
-/// std::invalid_argument otherwise; ServeOptions::validate() rejects the
-/// value before it gets here) and is clamped to the test split size.
+/// std::invalid_argument otherwise) and is clamped to the test split size.
 /// Enables clamp counting for the measurement and restores the sites'
 /// previous counting state afterwards. Runs one fp32 nn::InferencePlan of
 /// pm.model at batch 1 (bit-identical to its eager forward) whatever the

@@ -115,21 +115,7 @@ CampaignResult run_trials(std::vector<CampaignWorker>& workers,
 
 CampaignResult run_campaign(const WorkerFactory& make_worker,
                             const CampaignConfig& config) {
-  const std::size_t trials =
-      config.trials > 0 ? static_cast<std::size_t>(config.trials) : 0;
-  if (trials == 0) {
-    CampaignResult empty;
-    aggregate(empty);
-    return empty;
-  }
-  const std::size_t lanes = lane_count_for(config, trials);
-  // Every lane is built before the first trial runs: replica lanes
-  // typically clone the lane-0 model, which the campaign is about to
-  // corrupt, so construction must not overlap the trials.
-  std::vector<CampaignWorker> workers;
-  workers.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) workers.push_back(make_worker(i));
-  return run_trials(workers, lanes, config, trials);
+  return CampaignSession(make_worker).run(config);
 }
 
 CampaignResult run_campaign(Injector& injector,

@@ -88,9 +88,9 @@ struct CampaignWorker {
 /// the trials then corrupt).
 using WorkerFactory = std::function<CampaignWorker(std::size_t lane)>;
 
-/// Runs the campaign over `config.threads` lanes built by `make_worker`.
-/// Each lane's model is restored to its clean image after every trial and
-/// at the end.
+/// Runs the campaign over `config.threads` lanes built by `make_worker`
+/// (one run of a fresh CampaignSession). Each lane's model is restored to
+/// its clean image after every trial and at the end.
 CampaignResult run_campaign(const WorkerFactory& make_worker,
                             const CampaignConfig& config);
 

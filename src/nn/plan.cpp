@@ -189,15 +189,16 @@ PlanValueId PlanBuilder::new_value(Shape sample_shape, std::int32_t def_op,
   return static_cast<PlanValueId>(values_.size() - 1);
 }
 
-PlanValueId PlanBuilder::root(PlanValueId v) const noexcept {
-  while (values_[static_cast<std::size_t>(v)].alias_of >= 0) {
-    v = values_[static_cast<std::size_t>(v)].alias_of;
+PlanValueId PlanBuilder::root(const std::vector<Value>& values,
+                              PlanValueId v) noexcept {
+  while (values[static_cast<std::size_t>(v)].alias_of >= 0) {
+    v = values[static_cast<std::size_t>(v)].alias_of;
   }
   return v;
 }
 
 void PlanBuilder::use(PlanValueId v, std::int32_t op_index) {
-  Value& r = values_[static_cast<std::size_t>(root(v))];
+  Value& r = values_[static_cast<std::size_t>(root(values_, v))];
   r.last_use = std::max(r.last_use, op_index);
 }
 
@@ -370,7 +371,7 @@ PlanValueId PlanBuilder::flatten(PlanValueId in) {
   if (v.sample_shape.rank() == 1) return in;
   // Pure view: same storage, flat shape. Batched layout is unchanged
   // because samples are contiguous.
-  return new_value(Shape{v.sample_numel}, v.def, root(in));
+  return new_value(Shape{v.sample_numel}, v.def, root(values_, in));
 }
 
 PlanValueId PlanBuilder::activation(core::BoundedActivation* site,
@@ -417,13 +418,6 @@ PlanValueId PlanBuilder::noop(const std::string& what, PlanValueId in) {
 }
 
 // ---- InferencePlan ---------------------------------------------------------
-
-PlanValueId InferencePlan::root(PlanValueId v) const noexcept {
-  while (values_[static_cast<std::size_t>(v)].alias_of >= 0) {
-    v = values_[static_cast<std::size_t>(v)].alias_of;
-  }
-  return v;
-}
 
 std::shared_ptr<InferencePlan> InferencePlan::compile(
     std::shared_ptr<Module> model, const Shape& sample_shape,
@@ -855,9 +849,8 @@ void InferencePlan::plan_arena() {
 
     std::vector<Placed> placed;
     // The shared scratch block is live for the whole program; placing it
-    // first pins it at offset 0 in every bucket.
+    // first pins it at offset 0 in every bucket (execute relies on that).
     placed.push_back({0, align_up(scratch_floats_), -1, kLiveForever});
-    bk.scratch_offset = 0;
 
     for (std::size_t vi = 0; vi < values_.size(); ++vi) {
       const Value& v = values_[vi];
@@ -949,7 +942,7 @@ Tensor& InferencePlan::execute(std::int64_t batch) {
   // steady state allocation-free (pool dispatch allocates task state).
   ut::InlineKernelScope inline_scope;
   float* const base = arena_.get();
-  float* const scratch = base + bk.scratch_offset;
+  float* const scratch = base;  // plan_arena pins scratch at offset 0
   const auto ptr = [&](PlanValueId v) {
     return base + bk.offsets[static_cast<std::size_t>(v)];
   };

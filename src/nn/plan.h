@@ -230,7 +230,10 @@ class PlanBuilder {
   /// Append `op` at the current module path, writing a new value of
   /// `out_shape`; returns that value.
   PlanValueId push(Op op, Shape out_shape);
-  PlanValueId root(PlanValueId v) const noexcept;
+  /// The value whose arena slot `v` uses: `v` itself unless it is a
+  /// flatten view, else the end of its alias_of chain.
+  static PlanValueId root(const std::vector<Value>& values,
+                          PlanValueId v) noexcept;
   void use(PlanValueId v, std::int32_t op_index);
   const Value& value(PlanValueId v) const;
   [[nodiscard]] std::string scope_path() const;
@@ -327,7 +330,6 @@ class InferencePlan {
   struct Bucket {
     std::int64_t capacity = 0;
     std::vector<std::size_t> offsets;  ///< per root value, floats into arena
-    std::size_t scratch_offset = 0;
     std::size_t total_floats = 0;
   };
 
@@ -352,7 +354,9 @@ class InferencePlan {
   void finalize_liveness();
   void plan_arena();
   [[nodiscard]] const Bucket& bucket_for(std::int64_t batch) const;
-  PlanValueId root(PlanValueId v) const noexcept;
+  PlanValueId root(PlanValueId v) const noexcept {
+    return PlanBuilder::root(values_, v);
+  }
 
   std::shared_ptr<Module> model_;
   std::vector<Value> values_;

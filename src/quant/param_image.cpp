@@ -6,8 +6,8 @@
 
 namespace fitact::quant {
 
-ParamImage::ParamImage(nn::Module& m, bool include_buffers, NameFilter filter)
-    : module_(&m), include_buffers_(include_buffers), filter_(std::move(filter)) {
+ParamImage::ParamImage(nn::Module& m, NameFilter filter)
+    : module_(&m), filter_(std::move(filter)) {
   refresh();
 }
 
@@ -18,13 +18,6 @@ void ParamImage::refresh() {
     if (filter_ && !filter_(p.name)) continue;
     segments_.push_back({p.name, p.var.value(), words});
     words += static_cast<std::size_t>(p.var.numel());
-  }
-  if (include_buffers_) {
-    for (auto& b : module_->named_buffers()) {
-      if (filter_ && !filter_(b.name)) continue;
-      segments_.push_back({b.name, b.tensor, words});
-      words += static_cast<std::size_t>(b.tensor.numel());
-    }
   }
   clean_.assign(words, 0);
   for (const auto& seg : segments_) {

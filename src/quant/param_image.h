@@ -3,10 +3,10 @@
 // biases of different layers, as well as parameters of activation
 // functions").
 //
-// The image snapshots the module's parameters (and optionally its buffers,
-// e.g. BatchNorm running statistics) at construction. restore() writes the
-// decoded clean image back into the module; a fault injector flips bits in a
-// scratch copy and writes that back instead.
+// The image snapshots the module's parameters at construction; buffers
+// (BatchNorm running statistics) are not in the fault space. restore()
+// writes the decoded clean image back into the module; a fault injector
+// flips bits in a scratch copy and writes that back instead.
 #pragma once
 
 #include <cstdint>
@@ -24,11 +24,9 @@ class ParamImage {
   using NameFilter = std::function<bool(const std::string&)>;
 
   /// Snapshot the current parameter values of `m` into fixed point.
-  /// include_buffers adds named buffers (BN running stats) to the image.
   /// `filter` restricts the image to matching parameter names (used by the
   /// Fig. 1 reproduction, which injects faults into specific layers only).
-  explicit ParamImage(nn::Module& m, bool include_buffers = false,
-                      NameFilter filter = nullptr);
+  explicit ParamImage(nn::Module& m, NameFilter filter = nullptr);
 
   /// Total number of 32-bit words in the image.
   [[nodiscard]] std::size_t word_count() const noexcept {
@@ -69,7 +67,6 @@ class ParamImage {
   };
 
   nn::Module* module_;
-  bool include_buffers_;
   NameFilter filter_;
   std::vector<Segment> segments_;
   std::vector<std::int32_t> clean_;

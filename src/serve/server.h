@@ -67,7 +67,8 @@ struct ServerOptions {
   /// non-empty but below max_batch. 0 = greedy: take whatever is queued
   /// immediately (deterministic; what the tests use).
   std::chrono::microseconds batch_window{0};
-  /// Clamp-rate fault detection on lane forwards.
+  /// Clamp-rate fault detection on lane forwards. A batch above threshold
+  /// is scrubbed once (clean image and int8 weights restored) and re-run.
   bool detection = true;
   /// Peak per-site clamp rate (one site's clamp events / activations
   /// inspected, maximised over the model's activation sites) above which a
@@ -76,12 +77,6 @@ struct ServerOptions {
   /// time options reach InferenceServer a detection threshold must be
   /// non-negative).
   double clamp_rate_threshold = 0.05;
-  /// Scrub-and-re-run attempts per batch. After the last attempt the batch
-  /// is served from the scrubbed (clean) parameters even if the rate is
-  /// still above threshold — a persistent alarm on clean parameters means
-  /// the threshold is miscalibrated for this traffic, not that the
-  /// parameters are faulty.
-  int max_recoveries_per_batch = 1;
   /// Arithmetic the lane plans execute with (nn::Precision). int8 serves
   /// block-quantized weights through int8 GEMM with fused dequantize+clamp
   /// epilogues — quantized at make_server time from the FitAct clamp bounds
@@ -112,8 +107,10 @@ struct ServerStats {
   std::uint64_t forwards = 0;    ///< lane forwards, including re-runs
   std::uint64_t detections = 0;  ///< clamp-rate threshold crossings
   std::uint64_t recoveries = 0;  ///< clean-image scrubs triggered
-  /// Batches still above threshold after the last permitted recovery
-  /// (served from clean parameters regardless).
+  /// Batches still above threshold after their scrub and re-run (served
+  /// from clean parameters regardless: a persistent alarm on clean
+  /// parameters means the threshold is miscalibrated for this traffic, not
+  /// that the parameters are faulty).
   std::uint64_t post_recovery_alarms = 0;
 };
 

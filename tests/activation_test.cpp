@@ -92,15 +92,6 @@ TEST(BoundedActivation, InitBoundsPerChannelOn4d) {
   EXPECT_FLOAT_EQ(act.bounds().value()[1], 3.0f);
 }
 
-TEST(BoundedActivation, MarginScalesBounds) {
-  BoundedActivation act(ActivationConfig{});
-  act.set_profiling(true);
-  act.forward(input_2d({2.0f}, 1));
-  act.set_profiling(false);
-  act.init_bounds_from_profile(1.5f);
-  EXPECT_FLOAT_EQ(act.bounds().value()[0], 3.0f);
-}
-
 TEST(BoundedActivation, InitWithoutProfileThrows) {
   BoundedActivation act(ActivationConfig{});
   act.forward(input_2d({1.0f}, 1));

@@ -110,8 +110,7 @@ TEST(Integration, FaultSpaceIncludesBounds) {
   quant::ParamImage with_bounds(*w.pm.model);
   ev::protect_model(w.pm, core::Scheme::relu, w.scale);
   quant::ParamImage without_bounds(
-      *w.pm.model, false,
-      [](const std::string& name) {
+      *w.pm.model, [](const std::string& name) {
         return name.find("lambda") == std::string::npos;
       });
   // The FitAct fault space is strictly larger: it contains the lambdas.

@@ -1092,10 +1092,6 @@ TEST(ServerOptions, ValidateRejectsBadConfigurations) {
   EXPECT_THROW(o.validate(), std::invalid_argument);
 
   o = good;
-  o.max_recoveries_per_batch = -1;
-  EXPECT_THROW(o.validate(), std::invalid_argument);
-
-  o = good;
   o.precision = nn::Precision::int8;
   EXPECT_NO_THROW(o.validate());
 }

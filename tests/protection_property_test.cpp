@@ -1,9 +1,9 @@
 // Property tests for the protection machinery as a whole — invariants the
 // paper's method depends on, checked at model level:
 //
-//   P1. Clip-Act/Ranger protection with margin 1.0 is a no-op on the data
-//       it was profiled on (every activation is <= its recorded max), so
-//       clean predictions are bit-identical.
+//   P1. Clip-Act/Ranger protection (bounds at the profiled maxima) is a
+//       no-op on the data it was profiled on (every activation is <= its
+//       recorded max), so clean predictions are bit-identical.
 //   P2. Bounded outputs never exceed the bound under adversarially large
 //       inputs, for every scheme and granularity.
 //   P3. A single injected bit flip changes exactly one parameter, by

@@ -135,21 +135,11 @@ TEST(ParamImage, FilterRestrictsFaultSpace) {
   net.add(std::make_shared<nn::Linear>(4, 4, true, rng));
   net.add(std::make_shared<nn::Linear>(4, 2, true, rng));
   ParamImage all(net);
-  ParamImage first_only(net, false, [](const std::string& name) {
+  ParamImage first_only(net, [](const std::string& name) {
     return name.rfind("0.", 0) == 0;
   });
   EXPECT_EQ(all.word_count(), 4u * 4u + 4u + 4u * 2u + 2u);
   EXPECT_EQ(first_only.word_count(), 4u * 4u + 4u);
-}
-
-TEST(ParamImage, IncludeBuffersAddsRunningStats) {
-  ut::Rng rng(9);
-  nn::Sequential net;
-  net.add(std::make_shared<nn::BatchNorm2d>(4));
-  ParamImage no_buf(net, false);
-  ParamImage with_buf(net, true);
-  EXPECT_EQ(no_buf.word_count(), 8u);    // gamma + beta
-  EXPECT_EQ(with_buf.word_count(), 16u); // + running mean/var
 }
 
 TEST(ParamImage, RefreshPicksUpNewValues) {
