@@ -85,17 +85,13 @@ int main(int argc, char** argv) {
   ec.max_samples = scale.eval_samples;
 
   // One session across all 20 (fault model, scheme) parameter-fault
-  // campaigns; protect_model re-syncs the cached lanes between cells.
-  ev::CampaignSession session(pm, scale);
+  // campaigns; the cached lanes re-sync after each protect_model.
+  fault::CampaignSession session = ev::campaign_session(pm, scale);
   for (const auto& fc : cases) {
     std::vector<std::string> row{fc.label};
     for (const auto scheme : schemes) {
       ev::protect_model(pm, scheme, scale);
-      fault::CampaignConfig cc;
-      cc.bit_error_rate = rate;
-      cc.trials = scale.trials;
-      cc.seed = 31337;
-      cc.threads = scale.campaign_threads;
+      fault::CampaignConfig cc = ev::campaign_config(scale, rate, 31337);
       cc.fault_model = fc.model;
       const auto result = session.run(cc);
       row.push_back(ut::TextTable::percent(result.mean_accuracy));

@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
                        "acc@1e-6", "acc@3e-6", "acc@1e-5"});
 
   // Cached replica lanes span the whole granularity x rate grid; the
-  // pm.touch() below tells the session when the direct re-protection +
+  // pm.touch() below tells the lanes when the direct re-protection +
   // post-training changed the source model.
-  ev::CampaignSession session(pm, scale);
+  fault::CampaignSession session = ev::campaign_session(pm, scale);
   for (const auto gran :
        {core::Granularity::per_layer, core::Granularity::per_channel,
         core::Granularity::per_neuron}) {
@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
                                  std::to_string(bound_params),
                                  ut::TextTable::percent(clean)};
     for (const double paper_rate : paper_rates) {
-      const auto result = session.run(paper_rate * rate_factor, 777);
+      const auto result = session.run(
+          ev::campaign_config(scale, paper_rate * rate_factor, 777));
       row.push_back(ut::TextTable::percent(result.mean_accuracy));
       csv.row({core::to_string(gran), std::to_string(bound_params),
                ut::CsvWriter::num(clean), ut::CsvWriter::num(paper_rate),

@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
   ut::TextTable table(
       {"k", "max |FitReLU - Naive|", "clean acc", "acc under fault"});
   // Replica lanes persist across the k sweep; pm.touch() flags the direct
-  // re-protection + post-training so the session re-syncs them.
-  ev::CampaignSession session(pm, scale);
+  // re-protection + post-training so the lanes re-sync.
+  fault::CampaignSession session = ev::campaign_session(pm, scale);
   for (const float k : {1.0f, 2.0f, 5.0f, 10.0f, 25.0f, 50.0f}) {
     const double dev = max_deviation_from_naive(k, 2.0f);
 
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
                             pm.baseline_accuracy, scale.post);
     pm.touch();  // model mutated outside protect_model
     const double clean = ev::clean_subset_accuracy(pm, scale);
-    const auto result = session.run(rate, 321);
+    const auto result = session.run(ev::campaign_config(scale, rate, 321));
 
     table.row({ut::TextTable::fixed(k, 0), ut::TextTable::fixed(dev, 4),
                ut::TextTable::percent(clean),

@@ -11,7 +11,7 @@
 //      Injector), the per-lane cost a fresh engine pays at every rate;
 //   3. a simulated R-point rate grid with L lanes: per-rate setup of the
 //      fresh engine (rebuild every lane at every rate) vs a
-//      CampaignSession (build lanes once, light image re-sync per rate).
+//      CampaignSession (build lanes once, an epoch check per rate).
 //
 // Usage: campaign_setup [--model resnet50] [--width 0.125] [--classes 10]
 //                       [--lanes 4] [--rates 5] [--reps 3]
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
     workers.reserve(lanes);
     for (std::size_t i = 0; i < lanes; ++i) workers.push_back(factory(i));
     for (int r = 1; r < rates; ++r) {
-      for (auto& w : workers) w.sync(/*source_changed=*/false);
+      for (auto& w : workers) w.sync();
     }
   });
   const double legacy_per_rate = legacy_grid_ms / rates;

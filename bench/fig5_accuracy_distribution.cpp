@@ -55,9 +55,9 @@ int main(int argc, char** argv) {
       core::Scheme::fitrelu, core::Scheme::clip_act, core::Scheme::ranger,
       core::Scheme::relu};
   // One session for the whole grid: worker-lane replicas are built once and
-  // re-synced when protect_model changes the source, instead of being
-  // rebuilt for all 20 (scheme, rate) campaigns.
-  ev::CampaignSession session(pm, scale);
+  // re-sync themselves when protect_model changes the source, instead of
+  // being rebuilt for all 20 (scheme, rate) campaigns.
+  fault::CampaignSession session = ev::campaign_session(pm, scale);
   for (const auto scheme : schemes) {
     const ev::ProtectReport rep = ev::protect_model(pm, scheme, scale);
     std::printf("%s (clean accuracy with protection: %.2f%%)\n",
@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
     ut::TextTable table(
         {"fault rate", "mean", "min", "q1", "median", "q3", "max"});
     for (const double paper_rate : ev::paper_fault_rates()) {
-      const auto result = session.run(paper_rate * rate_factor, 555);
+      const auto result = session.run(
+          ev::campaign_config(scale, paper_rate * rate_factor, 555));
       const ev::Summary s = ev::summarize(result.accuracies);
       table.row({ut::TextTable::sci(paper_rate),
                  ut::TextTable::percent(s.mean), ut::TextTable::percent(s.min),

@@ -67,13 +67,14 @@ int main(int argc, char** argv) {
 
       ut::TextTable table({"scheme", "1e-7", "1e-6", "3e-6", "1e-5", "3e-5"});
       // Replica lanes live across the scheme x rate grid for this model;
-      // protect_model marks the session stale and the lanes re-sync.
-      ev::CampaignSession session(pm, scale);
+      // protect_model bumps pm.state_epoch and the lanes re-sync.
+      fault::CampaignSession session = ev::campaign_session(pm, scale);
       for (const auto scheme : schemes) {
         ev::protect_model(pm, scheme, scale);
         std::vector<std::string> row{ev::paper_label(scheme)};
         for (const double paper_rate : ev::paper_fault_rates()) {
-          const auto result = session.run(paper_rate * rate_factor, 999);
+          const auto result = session.run(
+              ev::campaign_config(scale, paper_rate * rate_factor, 999));
           row.push_back(ut::TextTable::percent(result.mean_accuracy));
           csv.row({model_name, "CIFAR-" + std::to_string(classes),
                    ev::paper_label(scheme), ut::CsvWriter::num(paper_rate),

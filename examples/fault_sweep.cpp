@@ -57,11 +57,12 @@ int main(int argc, char** argv) {
   ut::TextTable table(
       {"bit error rate", "mean", "min", "q1", "median", "q3", "max"});
   // The session keeps one set of worker-lane replicas across the whole
-  // sweep (the protection doesn't change between rates).
-  ev::CampaignSession session(pm, scale);
+  // sweep; the protection doesn't change between rates, so each lane's
+  // pre-run epoch check finds nothing to re-sync.
+  fault::CampaignSession session = ev::campaign_session(pm, scale);
   for (const double rate :
        {1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3}) {
-    const auto result = session.run(rate, 1000);
+    const auto result = session.run(ev::campaign_config(scale, rate, 1000));
     const ev::Summary s = ev::summarize(result.accuracies);
     table.row({ut::TextTable::sci(rate), ut::TextTable::percent(s.mean),
                ut::TextTable::percent(s.min), ut::TextTable::percent(s.q1),

@@ -48,8 +48,9 @@ int main(int argc, char** argv) {
 
   ut::TextTable table({"scheme", "clean acc", "acc@1e-5", "acc@1e-4",
                        "acc@3e-4", "param Mb", "bound params"});
-  // One lane set across the scheme x rate report; protect_model re-syncs it.
-  ev::CampaignSession session(pm, scale);
+  // One lane set across the scheme x rate report; it re-syncs itself after
+  // each protect_model.
+  fault::CampaignSession session = ev::campaign_session(pm, scale);
   for (const auto scheme :
        {core::Scheme::relu, core::Scheme::ranger, core::Scheme::clip_act,
         core::Scheme::fitrelu}) {
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
     row.push_back(ev::paper_label(scheme));
     row.push_back(ut::TextTable::percent(rep.clean_accuracy));
     for (const double rate : rates) {
-      const auto result = session.run(rate, 4242);
+      const auto result = session.run(ev::campaign_config(scale, rate, 4242));
       row.push_back(ut::TextTable::percent(result.mean_accuracy));
     }
     quant::ParamImage image(*pm.model);

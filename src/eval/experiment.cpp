@@ -193,7 +193,7 @@ ProtectReport protect_model(PreparedModel& pm, core::Scheme scheme,
   ec.max_samples = scale.test_size;
   report.clean_accuracy = evaluate_accuracy(*pm.model, *pm.test, ec);
   // Profiling, scheme application, and post-training all changed the model:
-  // any live CampaignSession must re-sync its replicas.
+  // campaign lanes over pm re-sync when they next see the new epoch.
   pm.touch();
   return report;
 }
@@ -236,10 +236,11 @@ serve::Lane make_lane(const PreparedModel& pm,
 fault::WorkerFactory make_campaign_worker_factory(PreparedModel& pm,
                                                   const EvalConfig& ec) {
   struct CampaignLane {
-    explicit CampaignLane(serve::Lane l)
-        : lane(std::move(l)), injector(*lane.image) {}
+    CampaignLane(serve::Lane l, std::uint64_t synced)
+        : lane(std::move(l)), injector(*lane.image), epoch(synced) {}
     serve::Lane lane;
     fault::Injector injector;
+    std::uint64_t epoch;  ///< pm.state_epoch the lane matches
   };
   const std::shared_ptr<data::Dataset> test = pm.test;
   // A trial scores at most the evaluated subset, so lane plans compile (and
@@ -254,71 +255,62 @@ fault::WorkerFactory make_campaign_worker_factory(PreparedModel& pm,
         std::max<std::int64_t>(1, std::min(samples, ec.batch_size));
   }
   return [&pm, test, ec = lane_ec](std::size_t index) {
-    auto ctx = std::make_shared<CampaignLane>(make_lane(
-        pm, index == 0 ? pm.model : replicate_model(pm), ec.batch_size));
+    auto ctx = std::make_shared<CampaignLane>(
+        make_lane(pm, index == 0 ? pm.model : replicate_model(pm),
+                  ec.batch_size),
+        pm.state_epoch);
     fault::CampaignWorker w;
     w.keepalive = ctx;
     w.injector = &ctx->injector;
     w.evaluate = [ctx, test, ec] {
       return evaluate_accuracy(*ctx->lane.plan, *test, ec);
     };
-    w.sync = [ctx, &pm, ec](bool source_changed) {
-      const std::shared_ptr<nn::Module> model = ctx->lane.model;
-      if (!source_changed) {
-        ctx->lane.image->refresh();
-        return;
-      }
+    // Between runs the lane's parameters change only through inject and
+    // restore, which leave the image's words as they were (the fixed-point
+    // round trip is idempotent; FixedPoint.RoundTripIsIdempotent), so an
+    // unchanged epoch needs no work.
+    w.sync = [ctx, &pm, ec] {
+      if (ctx->epoch == pm.state_epoch) return;
       // Re-protection may have changed schemes, bound extents, or (after
       // post-training) parameter values on the source; carry all of it
       // over, then rebuild image and plan so nothing the plan fixed at
       // compile time goes stale. Lane 0 wraps the source itself.
+      const std::shared_ptr<nn::Module> model = ctx->lane.model;
       if (model != pm.model) {
         core::replicate_protection(*pm.model, *model);
         nn::copy_state(*pm.model, *model);
       }
-      *ctx = CampaignLane(make_lane(pm, model, ec.batch_size));
+      *ctx = CampaignLane(make_lane(pm, model, ec.batch_size),
+                          pm.state_epoch);
     };
     return w;
   };
 }
 
-CampaignSession::CampaignSession(PreparedModel& pm,
-                                 const ExperimentScale& scale)
-    : pm_(&pm),
-      trials_(scale.trials),
-      threads_(scale.campaign_threads),
-      session_([&pm, &scale] {
-        EvalConfig ec;
-        ec.max_samples = scale.eval_samples;
-        return fault::CampaignSession(make_campaign_worker_factory(pm, ec));
-      }()),
-      synced_epoch_(pm.state_epoch) {}
-
-fault::CampaignResult CampaignSession::run(double bit_error_rate,
-                                           std::uint64_t seed) {
-  fault::CampaignConfig cc;
-  cc.bit_error_rate = bit_error_rate;
-  cc.trials = trials_;
-  cc.seed = seed;
-  cc.threads = threads_;
-  return run(cc);
+fault::CampaignSession campaign_session(PreparedModel& pm,
+                                        const ExperimentScale& scale) {
+  EvalConfig ec;
+  ec.max_samples = scale.eval_samples;
+  return fault::CampaignSession(make_campaign_worker_factory(pm, ec));
 }
 
-fault::CampaignResult CampaignSession::run(
-    const fault::CampaignConfig& config) {
-  if (pm_->state_epoch != synced_epoch_) {
-    session_.invalidate();
-    synced_epoch_ = pm_->state_epoch;
-  }
-  return session_.run(config);
+fault::CampaignConfig campaign_config(const ExperimentScale& scale,
+                                      double bit_error_rate,
+                                      std::uint64_t seed) {
+  fault::CampaignConfig cc;
+  cc.bit_error_rate = bit_error_rate;
+  cc.trials = scale.trials;
+  cc.seed = seed;
+  cc.threads = scale.campaign_threads;
+  return cc;
 }
 
 fault::CampaignResult campaign_at_rate(PreparedModel& pm,
                                        double bit_error_rate,
                                        const ExperimentScale& scale,
                                        std::uint64_t seed) {
-  CampaignSession session(pm, scale);
-  return session.run(bit_error_rate, seed);
+  return campaign_session(pm, scale).run(
+      campaign_config(scale, bit_error_rate, seed));
 }
 
 double clean_subset_accuracy(PreparedModel& pm, const ExperimentScale& scale) {

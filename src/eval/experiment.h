@@ -73,14 +73,15 @@ struct PreparedModel {
   double train_time_s = 0.0;       ///< stage-1 wall time (0 on cache hit)
   bool from_cache = false;
   bool profiled = false;
-  /// Monotonic counter of model-state changes, used by CampaignSession to
-  /// decide when its cached replicas must re-sync from `model`.
-  /// protect_model bumps it automatically; code that mutates the model
-  /// directly (core::apply_protection, core::post_train_bounds, manual
-  /// parameter edits) must call touch() afterwards.
+  /// Monotonic counter of model-state changes. Each campaign lane built by
+  /// make_campaign_worker_factory records the epoch it last synced at and
+  /// re-syncs from `model` when this moves. protect_model bumps it
+  /// automatically; code that mutates the model directly
+  /// (core::apply_protection, core::post_train_bounds, manual parameter
+  /// edits) must call touch() afterwards.
   std::uint64_t state_epoch = 0;
 
-  /// Record that `model` changed outside protect_model, so sessions resync.
+  /// Record that `model` changed outside protect_model, so lanes re-sync.
   void touch() noexcept { ++state_epoch; }
 };
 
@@ -129,51 +130,32 @@ ProtectReport protect_model(PreparedModel& pm, core::Scheme scheme,
 /// pm.model itself (and leaves it restored), every other lane gets its own
 /// replica; each is a make_lane lane (fp32, plan at ec.batch_size, or at
 /// the evaluated sample count when that is smaller) plus an injector,
-/// evaluating pm.test under `ec` through its plan. A source change rebuilds
-/// image and plan. `pm` must outlive the campaign run.
+/// evaluating pm.test under `ec` through its plan. Each lane records the
+/// pm.state_epoch it was built or last synced at; its sync() does nothing
+/// while the epoch is unchanged, and otherwise re-copies protection and
+/// state into a replica and rebuilds image and plan. `pm` must outlive
+/// every session over the factory.
 [[nodiscard]] fault::WorkerFactory make_campaign_worker_factory(
     PreparedModel& pm, const EvalConfig& ec);
 
-/// Persistent campaign engine over a prepared model: keeps the worker lanes
-/// (models, parameter images, plans, injectors) alive across an entire
-/// rate grid instead of rebuilding them for every rate. Replicas re-sync
-/// from `pm.model` (core::replicate_protection + nn::copy_state) only when
-/// `pm.state_epoch` moves — protect_model bumps it; call pm.touch() after
-/// mutating the model directly. Campaign results are byte-identical to
-/// fresh-replica campaign_at_rate calls at every thread count.
-///
-/// `pm` must outlive the session; `scale` fixes trials / eval samples /
-/// lanes for every run.
-class CampaignSession {
- public:
-  CampaignSession(PreparedModel& pm, const ExperimentScale& scale);
+/// Campaign session over the prepared model for a sweep: the lanes of
+/// make_campaign_worker_factory (evaluating `scale.eval_samples` samples)
+/// stay alive across every run, and follow pm through protect_model and
+/// touch(). Results are byte-identical to fresh campaign_at_rate calls at
+/// every thread count. `pm` must outlive the session.
+[[nodiscard]] fault::CampaignSession campaign_session(
+    PreparedModel& pm, const ExperimentScale& scale);
 
-  /// Campaign at one bit-error rate (the campaign_at_rate contract).
-  [[nodiscard]] fault::CampaignResult run(double bit_error_rate,
-                                          std::uint64_t seed);
-
-  /// Full-control overload for drivers that set their own fault model.
-  /// `config.threads` is honoured as given.
-  [[nodiscard]] fault::CampaignResult run(const fault::CampaignConfig& config);
-
-  /// Replica lanes currently cached (0 before the first run).
-  [[nodiscard]] std::size_t lane_count() const noexcept {
-    return session_.lane_count();
-  }
-
- private:
-  PreparedModel* pm_;
-  std::int64_t trials_;
-  std::size_t threads_;
-  fault::CampaignSession session_;
-  std::uint64_t synced_epoch_;
-};
+/// Campaign at one bit-error rate with the trial count and lanes of
+/// `scale` (trials, campaign_threads) and the default fault model.
+[[nodiscard]] fault::CampaignConfig campaign_config(
+    const ExperimentScale& scale, double bit_error_rate, std::uint64_t seed);
 
 /// Run a fault campaign on the (already protected) model at one rate,
 /// fanned out over `scale.campaign_threads` worker lanes. One-shot: builds
 /// the worker lanes, runs, and tears them down. Sweeps over several rates
-/// should hold a CampaignSession instead, which caches the lanes across
-/// calls.
+/// should hold a campaign_session instead, which caches the lanes across
+/// runs.
 [[nodiscard]] fault::CampaignResult campaign_at_rate(
     PreparedModel& pm, double bit_error_rate, const ExperimentScale& scale,
     std::uint64_t seed);

@@ -99,8 +99,8 @@ std::unique_ptr<serve::InferenceServer> make_server(
   // so pm.model itself holds the Q1.15.16-representable values the lanes
   // will serve. Lane images snapshot these exact values, so a recovery
   // restore is value-stable and recovered lanes stay bit-identical to
-  // pm.model. (The round-trip is idempotent — the campaign session layer
-  // already relies on that.)
+  // pm.model. (The round-trip is idempotent, pinned by
+  // FixedPoint.RoundTripIsIdempotent; campaign lanes rely on it too.)
   {
     quant::ParamImage image(*pm.model);
     image.restore();

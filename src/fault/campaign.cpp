@@ -150,37 +150,16 @@ CampaignResult CampaignSession::run(const CampaignConfig& config) {
   }
   const std::size_t lanes = lane_count_for(config, trials);
 
-  if (stale_) {
-    // The source model changed: re-sync every cached lane (not only the
-    // ones this run uses — a lane skipped now must not carry stale bounds
-    // into a later, wider run). Lanes without a sync hook cannot be
-    // refreshed in place and are rebuilt from the factory.
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      if (workers_[i].sync) {
-        workers_[i].sync(/*source_changed=*/true);
-      } else {
-        workers_[i] = make_worker_(i);
-      }
-    }
-    stale_ = false;
-  } else if (!first_run_) {
-    // Reuse: re-snapshot each lane's clean image, mirroring the snapshot a
-    // freshly built worker would take of the restored (quantisation
-    // round-tripped) parameters. Keeps session results byte-identical to
-    // fresh-replica runs.
-    for (std::size_t i = 0; i < std::min(workers_.size(), lanes); ++i) {
-      if (workers_[i].sync) workers_[i].sync(/*source_changed=*/false);
-    }
-  }
-
-  // Grow the lane set if this run needs more lanes than any earlier one.
-  // New lanes clone the source as it stands now, exactly like a fresh run.
+  // Grow the lane set if this run needs more lanes than any earlier one,
+  // then bring every lane this run uses in sync with its source. A lane a
+  // narrower run skips syncs when it is next used.
   workers_.reserve(lanes);
   for (std::size_t i = workers_.size(); i < lanes; ++i) {
     workers_.push_back(make_worker_(i));
   }
-
-  first_run_ = false;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    if (workers_[i].sync) workers_[i].sync();
+  }
   return run_trials(workers_, lanes, config, trials);
 }
 

@@ -15,7 +15,12 @@
 // via ut::ThreadPool::parallel_for_slotted, whose join publishes every
 // slot's writes to the calling thread. The locking that backs this lives in
 // the pool and is annotated there (util/thread_annotations.h); the TSan CI
-// lane checks the disjointness claim dynamically.
+// lane checks the disjointness claim dynamically (fault_test carries the
+// `stress` label it selects).
+//
+// A CampaignSession keeps the lanes across the runs of a sweep. It does not
+// track whether a lane's source changed: each lane answers that itself in
+// CampaignWorker::sync, which the session calls before every run.
 #pragma once
 
 #include <cstdint>
@@ -67,18 +72,11 @@ struct CampaignWorker {
   std::shared_ptr<void> keepalive;
   Injector* injector = nullptr;
   std::function<double()> evaluate;
-  /// Optional hook for CampaignSession reuse: bring the lane back in sync
-  /// with its source before a run. Called with `source_changed` = true when
-  /// the session was invalidated (the source model was re-protected or its
-  /// parameters changed) — the lane must re-copy protection + state from
-  /// the source and re-snapshot its clean image. Called with false on every
-  /// later reuse — the lane only re-snapshots its clean image from its own
-  /// model, which mirrors the image a freshly built worker would capture
-  /// (the lane's model holds the restored, quantisation-round-tripped
-  /// parameters after the previous run). Must leave `injector` valid.
-  /// Workers without the hook are rebuilt from the factory instead of
-  /// re-synced when the session is invalidated.
-  std::function<void(bool source_changed)> sync;
+  /// Optional: make this lane match its source. The engine calls it on the
+  /// calling thread before every run that uses the lane, so it must be
+  /// cheap when nothing changed; the lane itself knows when it is stale.
+  /// Must leave `injector` valid. Empty for a lane with no source to follow.
+  std::function<void()> sync;
 };
 
 /// Builds the worker for one lane (0-based). Lane 0 may wrap the original
@@ -106,13 +104,9 @@ CampaignResult run_campaign(Injector& injector,
 /// instead of rebuilding them per rate, which removes replica construction
 /// from the per-rate cost. Results are bit-identical to calling
 /// run_campaign with the same factory and config at every thread count:
-/// the trial-stream and slot contracts are unchanged, and before each reuse
-/// a lane re-snapshots its clean image exactly as a fresh worker would.
-///
-/// Call invalidate() whenever the source model the factory replicates from
-/// changes (re-protection, post-training): the next run() re-syncs every
-/// cached lane through its CampaignWorker::sync hook (lanes without the
-/// hook are rebuilt from the factory). Not thread-safe; drive one session
+/// the trial-stream and slot contracts are unchanged, and each run first
+/// calls CampaignWorker::sync on every lane it uses, so a lane whose source
+/// changed re-syncs before it injects. Not thread-safe; drive one session
 /// from one thread.
 class CampaignSession {
  public:
@@ -122,10 +116,6 @@ class CampaignSession {
   /// config needs more than any earlier run.
   CampaignResult run(const CampaignConfig& config);
 
-  /// Mark the cached lanes stale; the next run() re-syncs them from the
-  /// source before injecting.
-  void invalidate() noexcept { stale_ = true; }
-
   /// Lanes currently cached (0 before the first run).
   [[nodiscard]] std::size_t lane_count() const noexcept {
     return workers_.size();
@@ -134,8 +124,6 @@ class CampaignSession {
  private:
   WorkerFactory make_worker_;
   std::vector<CampaignWorker> workers_;
-  bool first_run_ = true;
-  bool stale_ = false;
 };
 
 }  // namespace fitact::fault

@@ -27,7 +27,11 @@ inline constexpr float kEpsilon = 1.0f / kScale;
 /// the representable range. NaN encodes to 0.
 [[nodiscard]] std::int32_t encode(float x) noexcept;
 
-/// Decode a Q1.15.16 word to float (exact; every word is representable).
+/// Decode a Q1.15.16 word to float. Exact for |q| <= 2^24; larger words
+/// (a flipped high bit makes them) round to float's 24-bit significand.
+/// Re-encoding the decoded word of any encode() result gives that word
+/// back all the same: encode(decode(encode(x))) == encode(x) for every x
+/// (FixedPoint.RoundTripIsIdempotent).
 [[nodiscard]] constexpr float decode(std::int32_t q) noexcept {
   return static_cast<float>(q) / kScale;
 }

@@ -58,10 +58,11 @@ TEST(CampaignSession, GridMatchesFreshRunsAcrossThreadCounts) {
     (void)protect_model(cached, core::Scheme::clip_act, scale);
     (void)protect_model(fresh, core::Scheme::clip_act, scale);
 
-    CampaignSession session(cached, scale);
+    fault::CampaignSession session = campaign_session(cached, scale);
     for (const double rate : rate_grid) {
       expect_equal_results(
-          session.run(rate, 51), campaign_at_rate(fresh, rate, scale, 51),
+          session.run(campaign_config(scale, rate, 51)),
+          campaign_at_rate(fresh, rate, scale, 51),
           "rate " + std::to_string(rate) + " threads " +
               std::to_string(threads));
     }
@@ -75,7 +76,8 @@ TEST(CampaignSession, GridMatchesFreshRunsAcrossThreadCounts) {
     (void)protect_model(fresh, core::Scheme::fitrelu, scale);
     for (const double rate : rate_grid) {
       expect_equal_results(
-          session.run(rate, 52), campaign_at_rate(fresh, rate, scale, 52),
+          session.run(campaign_config(scale, rate, 52)),
+          campaign_at_rate(fresh, rate, scale, 52),
           "post-reprotect rate " + std::to_string(rate) + " threads " +
               std::to_string(threads));
     }
@@ -90,8 +92,8 @@ TEST(CampaignSession, TouchForcesResyncAfterDirectMutation) {
   (void)protect_model(cached, core::Scheme::clip_act, scale);
   (void)protect_model(fresh, core::Scheme::clip_act, scale);
 
-  CampaignSession session(cached, scale);
-  expect_equal_results(session.run(1e-5, 61),
+  fault::CampaignSession session = campaign_session(cached, scale);
+  expect_equal_results(session.run(campaign_config(scale, 1e-5, 61)),
                        campaign_at_rate(fresh, 1e-5, scale, 61), "warm-up");
 
   // Mutate both models identically outside protect_model (what the
@@ -103,9 +105,48 @@ TEST(CampaignSession, TouchForcesResyncAfterDirectMutation) {
   core::apply_protection(*fresh.model, core::Scheme::ranger, opts);
   fresh.touch();
 
-  expect_equal_results(session.run(1e-5, 62),
+  expect_equal_results(session.run(campaign_config(scale, 1e-5, 62)),
                        campaign_at_rate(fresh, 1e-5, scale, 62),
                        "post-touch");
+}
+
+// A session built straight on the lane factory, as a benchmark driver
+// builds one, follows the source through protect_model and a direct
+// apply_protection + touch(): each lane compares pm.state_epoch itself, so
+// nothing has to tell the session that the source changed.
+TEST(CampaignSession, FactorySessionFollowsReprotectionAndTouch) {
+  for (const std::size_t threads : {2u, 8u}) {
+    ExperimentScale scale = tiny_scale();
+    scale.campaign_threads = threads;
+    PreparedModel direct = prepare_model("tinycnn", 10, scale, "", 53);
+    PreparedModel fresh = prepare_model("tinycnn", 10, scale, "", 53);
+    EvalConfig ec;
+    ec.max_samples = scale.eval_samples;
+    fault::CampaignSession session(make_campaign_worker_factory(direct, ec));
+    const auto expect_fresh = [&](std::uint64_t seed, const std::string& what) {
+      expect_equal_results(session.run(campaign_config(scale, 1e-4, seed)),
+                           campaign_at_rate(fresh, 1e-4, scale, seed),
+                           what + " threads " + std::to_string(threads));
+    };
+
+    (void)protect_model(direct, core::Scheme::clip_act, scale);
+    (void)protect_model(fresh, core::Scheme::clip_act, scale);
+    expect_fresh(91, "clip_act");
+
+    (void)protect_model(direct, core::Scheme::fitrelu, scale);
+    (void)protect_model(fresh, core::Scheme::fitrelu, scale);
+    expect_fresh(92, "fitrelu");
+
+    core::ProtectionOptions opts;
+    opts.granularity = core::Granularity::per_layer;
+    core::apply_protection(*direct.model, core::Scheme::ranger, opts);
+    direct.touch();
+    core::apply_protection(*fresh.model, core::Scheme::ranger, opts);
+    fresh.touch();
+    expect_fresh(93, "per-layer ranger");
+    EXPECT_EQ(session.lane_count(),
+              std::min<std::size_t>(threads, scale.trials));
+  }
 }
 
 /// What a plan-lane campaign must reproduce: the legacy single-injector
@@ -164,14 +205,14 @@ TEST(CampaignSession, PlanLanesFollowReprotectionAndTouch) {
 
     (void)protect_model(planned, core::Scheme::clip_act, scale);
     (void)protect_model(eager, core::Scheme::clip_act, scale);
-    CampaignSession session(planned, scale);
-    expect_equal_results(session.run(1e-4, 81),
+    fault::CampaignSession session = campaign_session(planned, scale);
+    expect_equal_results(session.run(campaign_config(scale, 1e-4, 81)),
                          eager_reference(eager, 1e-4, scale, 81),
                          context + " clip_act");
 
     (void)protect_model(planned, core::Scheme::fitrelu, scale);
     (void)protect_model(eager, core::Scheme::fitrelu, scale);
-    expect_equal_results(session.run(1e-4, 82),
+    expect_equal_results(session.run(campaign_config(scale, 1e-4, 82)),
                          eager_reference(eager, 1e-4, scale, 82),
                          context + " fitrelu");
 
@@ -180,7 +221,7 @@ TEST(CampaignSession, PlanLanesFollowReprotectionAndTouch) {
     core::apply_protection(*planned.model, core::Scheme::ranger, opts);
     planned.touch();
     core::apply_protection(*eager.model, core::Scheme::ranger, opts);
-    expect_equal_results(session.run(1e-4, 83),
+    expect_equal_results(session.run(campaign_config(scale, 1e-4, 83)),
                          eager_reference(eager, 1e-4, scale, 83),
                          context + " per-layer ranger");
   }
@@ -238,7 +279,6 @@ TEST(CampaignSession, FaultLevelSessionMatchesOneShotEngine) {
       }
       return sum;
     };
-    w.sync = [ctx](bool) { ctx->image->refresh(); };
     return w;
   };
 

@@ -2,7 +2,11 @@
 // parameter image.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "nn/layers.h"
 #include "quant/fixed_point.h"
@@ -42,6 +46,56 @@ TEST(FixedPoint, RoundTripErrorBounded) {
     const float x = rng.uniform(-1000.0f, 1000.0f);
     EXPECT_LE(std::abs(quantize(x) - x), kEpsilon * 0.5f + 1e-7f);
   }
+}
+
+// Campaign lanes skip re-snapshotting their images between runs, and
+// make_server round-trips pm.model once, on the strength of this property:
+// re-encoding a decoded word gives the word back. decode() itself is not
+// exact beyond |q| = 2^24, so the edges are pinned explicitly.
+TEST(FixedPoint, RoundTripIsIdempotent) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kDenormMin = std::numeric_limits<float>::denorm_min();
+  std::vector<float> xs = {0.0f,
+                           -0.0f,
+                           kDenormMin,
+                           -kDenormMin,
+                           std::numeric_limits<float>::min() / 2.0f,
+                           -std::numeric_limits<float>::min() / 2.0f,
+                           std::nanf(""),
+                           -std::nanf(""),
+                           kInf,
+                           -kInf,
+                           kMaxRepresentable,
+                           kMinRepresentable,
+                           std::numeric_limits<float>::max(),
+                           std::numeric_limits<float>::lowest()};
+  // Around both saturation ends, |x * 2^16| = 2^31, and around
+  // |x * 2^16| = 2^24, where float's spacing passes one word step.
+  for (const float edge : {256.0f, 32768.0f}) {
+    for (const float sign : {1.0f, -1.0f}) {
+      float up = sign * edge;
+      float down = up;
+      for (int i = 0; i < 300; ++i) {
+        xs.push_back(up);
+        xs.push_back(down);
+        up = std::nextafter(up, kInf);
+        down = std::nextafter(down, -kInf);
+      }
+    }
+  }
+  ut::Rng rng(20240);
+  for (int i = 0; i < 1 << 20; ++i) {
+    xs.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(rng())));
+  }
+  for (const float x : xs) {
+    const std::int32_t q = encode(x);
+    ASSERT_EQ(encode(decode(q)), q)
+        << "x bits 0x" << std::hex << std::bit_cast<std::uint32_t>(x);
+  }
+  // The saturated words themselves: -2^31 decodes exactly; 2^31 - 1 decodes
+  // to 2^31 / 2^16 and saturates back to itself.
+  EXPECT_EQ(encode(decode(2147483647)), 2147483647);
+  EXPECT_EQ(encode(decode(-2147483647 - 1)), -2147483647 - 1);
 }
 
 TEST(FixedPoint, SignBitFlipNegates) {
